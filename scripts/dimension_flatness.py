@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 
 from pfexpm.bench import FAMILY_RANDOM, MatrixSpec, gen_matrix
-from pfexpm.engine import ExpOptions, matexp_full, matexp_shifted
+from pfexpm.engine import ExpOptions, matexp_full
 from pfexpm.linalg import exp_oracle, norm2
 
 
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             E = exp_oracle(A)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # certified bound may be withheld here
-                res = matexp_shifted(A, opts) if shift is not None else matexp_full(A, opts)
+                res = matexp_full(A, opts)
             err = norm2(res.value - E)
             if hi > 0.0:
                 err /= norm2(E)

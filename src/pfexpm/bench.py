@@ -50,7 +50,6 @@ from .engine import (
     ExpOptions,
     matexp_action,
     matexp_full,
-    matexp_shifted,
 )
 from .errors import BadSpec, ParseError
 from .linalg import HermitianMatrix, SpectralBounds, exp_oracle, gershgorin_bounds, norm2
@@ -218,9 +217,7 @@ def _run_one(
     v = _unit_vector(spec, trial) if mode == MODE_ACTION else None
     opts = ExpOptions(n=n, mode=mode, shift=shift, threads=threads)
 
-    if shift is not None:
-        run = lambda: matexp_shifted(A, opts, v=v)
-    elif mode == MODE_ACTION:
+    if mode == MODE_ACTION:
         run = lambda: matexp_action(A, v, opts)
     else:
         run = lambda: matexp_full(A, opts)

@@ -13,9 +13,13 @@ times (the idealized fully-parallel time), t_total the actual wall time.
 
 Matrices whose spectrum reaches above 0 go through the shift method
 exp(A) = e^c exp(A - cI) with c >= alpha(A) = max eigenvalue; the reported
-bound then controls the relative error.  Only normal (here: Hermitian)
-matrices are supported; non-normal inputs would amplify the scalar error by
-the eigenbasis conditioning and are rejected by HermitianMatrix validation.
+bound then controls the relative error.  The shift only moves the poles,
+(A - cI) + theta_k I = A + (theta_k - c) I, so A - cI is never formed:
+`shift=` works with every entry point, and all of them share one path
+(_evaluate) that reads A's spectral interval once.  Only normal (here:
+Hermitian) matrices are supported; non-normal inputs would amplify the scalar
+error by the eigenbasis conditioning and are rejected by HermitianMatrix
+validation.
 """
 
 from __future__ import annotations
@@ -152,15 +156,13 @@ def _interval_bound(bounds: SpectralBounds, n: int, stacklevel: int):
             stacklevel=stacklevel,
         )
         return None
-    rho = bounds.rho()
-    if not n > 2.0 * rho:
+    try:
+        bound = apriori_bound(SpectralBounds(min(bounds.lo, 0.0), min(bounds.hi, 0.0)), n)
+    except OrderTooSmall as exc:
         warnings.warn(
-            f"n = {n} <= 2*rho = {2.0 * rho:.3e}: bound hypothesis fails",
-            OrderTooSmallWarning,
-            stacklevel=stacklevel,
+            f"{exc}: bound hypothesis fails", OrderTooSmallWarning, stacklevel=stacklevel
         )
         return None
-    bound = approx_error(n, -rho)
     if bounds.hi > 0.0:
         # sliver [0, hi]: |exp - R_n| ~ hi^(n+1)/(n+1)! there, same leading
         # term as on the negative side; factor 2 dominates the series tail
@@ -168,17 +170,10 @@ def _interval_bound(bounds: SpectralBounds, n: int, stacklevel: int):
     return bound
 
 
-def _certified_bound(A: HermitianMatrix, n: int):
-    """(bound, kind) for the unshifted evaluation, or (None, None) + warning."""
-    bounds = A.bounds if A.bounds is not None else gershgorin_bounds(A)
-    bound = _interval_bound(bounds, n, stacklevel=4)
-    return (bound, "absolute") if bound is not None else (None, None)
-
-
-def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions):
-    """Shared task fabric: n/2 shifted solves into slots, ordered reduction."""
+def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
+    """Shared task fabric: n/2 solves with A + (theta_k - c) I, ordered reduction."""
     table = default_table(opts.n)
-    thetas = table.thetas_f8()
+    poles = table.thetas_f8() - c
     coeffs = table.coeffs_f8()
     d = A.d
     action = v is not None
@@ -187,6 +182,8 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions):
         v = np.asarray(v, dtype=complex)
         if v.shape != (d,):
             raise BadSpec(f"v must have shape ({d},), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise BadSpec("v has non-finite entries")
 
     slots = [None] * (opts.n // 2)
     times = [0.0] * (opts.n // 2)
@@ -194,7 +191,7 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions):
     def task(slot: int) -> None:
         t0 = time.perf_counter()
         a = coeffs[2 * slot]
-        M = A.entries + thetas[2 * slot] * np.eye(d)
+        M = A.entries + poles[2 * slot] * np.eye(d)
         if action:
             if real_path:
                 y = np.linalg.solve(M, v)
@@ -230,41 +227,6 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions):
     return acc, tuple(times), t_total
 
 
-def _matexp(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
-    if opts.shift is not None:
-        return matexp_shifted(A, opts, v=v)
-    if A.bounds is not None and A.bounds.hi > _positive_fuzz(A.bounds):
-        raise BadSpec(
-            f"spectrum certified to reach {A.bounds.hi} > 0; "
-            "unshifted evaluation needs Spec(A) <= 0 (pass shift='auto')"
-        )
-    value, times, t_total = _run_tasks(A, v, opts)
-    bound, kind = _certified_bound(A, opts.n)
-    return ExpResult(
-        value=value,
-        error_bound=bound,
-        bound_kind=kind,
-        per_term_times=times,
-        t_para=max(times),
-        t_total=t_total,
-        c_applied=None,
-    )
-
-
-def matexp_full(A: HermitianMatrix, opts: ExpOptions) -> ExpResult:
-    """R_n(A) as a dense matrix; see module docstring for the task layout."""
-    if opts.mode != MODE_FULL:
-        raise BadSpec(f"matexp_full called with mode {opts.mode!r}")
-    return _matexp(A, None, opts)
-
-
-def matexp_action(A: HermitianMatrix, v: np.ndarray, opts: ExpOptions) -> ExpResult:
-    """R_n(A) v without forming R_n(A); one factorization per root pair."""
-    if opts.mode != MODE_ACTION:
-        raise BadSpec(f"matexp_action called with mode {opts.mode!r}")
-    return _matexp(A, v, opts)
-
-
 def _alpha_lower(A: HermitianMatrix) -> float:
     """Certified lower bound on the largest eigenvalue alpha(A)."""
     if A.bounds is not None and A.bounds.exact:
@@ -273,42 +235,33 @@ def _alpha_lower(A: HermitianMatrix) -> float:
     return float(np.max(np.real(np.diag(A.entries))))
 
 
-def _resolve_shift(A: HermitianMatrix, opts: ExpOptions) -> float:
-    if opts.shift == "auto":
-        bounds = A.bounds if A.bounds is not None else gershgorin_bounds(A)
-        return float(bounds.alpha())
-    return float(opts.shift)
+def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
+    """The one evaluation path: e^c R_n(A - cI) (v), c = 0 when unshifted.
 
-
-def matexp_shifted(A: HermitianMatrix, opts: ExpOptions, v=None) -> ExpResult:
-    """exp(A) ~ e^c R_n(A - cI) for spectra that are not nonpositive.
-
-    shift="auto" takes c = alpha(A) when exact bounds are attached, else the
-    Gershgorin upper end.  The certified bound is relative:
-    e^(c - alpha(A)) * err_n(-rho'), rho' the radius of the shifted matrix,
-    with alpha(A) replaced by a certified lower bound when not exactly known.
+    Every public entry point calls this directly, so stacklevel=4 in
+    _interval_bound attributes warnings to the entry point's caller.
     """
+    bounds = A.bounds if A.bounds is not None else gershgorin_bounds(A)
     if opts.shift is None:
-        raise BadSpec("matexp_shifted needs shift='auto' or a fixed real shift")
-    c = _resolve_shift(A, opts)
-    if c > SHIFT_MAX:
-        raise Overflow(f"exp({c}) overflows binary64 (shift limit {SHIFT_MAX})")
-    shifted_bounds = None
-    if A.bounds is not None:
-        shifted_bounds = SpectralBounds(A.bounds.lo - c, A.bounds.hi - c, A.bounds.exact)
-    B = HermitianMatrix(
-        A.entries - c * np.eye(A.d), tol_herm=A.tol_herm, bounds=shifted_bounds
-    )
-    value, times, t_total = _run_tasks(B, v, opts)
-    scale = math.exp(c)
-    value = scale * value
-
-    bound = kind = None
-    b = B.bounds if B.bounds is not None else gershgorin_bounds(B)
-    raw = _interval_bound(b, opts.n, stacklevel=3)
-    if raw is not None:
-        bound = math.exp(c - _alpha_lower(A)) * raw
-        kind = "relative"
+        if A.bounds is not None and bounds.hi > _positive_fuzz(bounds):
+            raise BadSpec(
+                f"spectrum certified to reach {bounds.hi} > 0; "
+                "unshifted evaluation needs Spec(A) <= 0 (pass shift='auto')"
+            )
+        c = 0.0
+    else:
+        c = float(bounds.alpha() if opts.shift == "auto" else opts.shift)
+        if c > SHIFT_MAX:
+            raise Overflow(f"exp({c}) overflows binary64 (shift limit {SHIFT_MAX})")
+    value, times, t_total = _run_tasks(A, v, opts, c)
+    shifted = SpectralBounds(bounds.lo - c, bounds.hi - c, bounds.exact)
+    bound = _interval_bound(shifted, opts.n, stacklevel=4)
+    kind = None if bound is None else "absolute"
+    if opts.shift is not None:
+        # the relative bound e^(c - alpha(A)) err_n(-rho'), alpha(A) from below
+        value = math.exp(c) * value
+        if bound is not None:
+            bound, kind = math.exp(c - _alpha_lower(A)) * bound, "relative"
     return ExpResult(
         value=value,
         error_bound=bound,
@@ -316,5 +269,32 @@ def matexp_shifted(A: HermitianMatrix, opts: ExpOptions, v=None) -> ExpResult:
         per_term_times=times,
         t_para=max(times),
         t_total=t_total,
-        c_applied=c,
+        c_applied=None if opts.shift is None else c,
     )
+
+
+def matexp_full(A: HermitianMatrix, opts: ExpOptions) -> ExpResult:
+    """R_n(A) as a dense matrix; see module docstring for the task layout."""
+    if opts.mode != MODE_FULL:
+        raise BadSpec(f"matexp_full called with mode {opts.mode!r}")
+    return _evaluate(A, None, opts)
+
+
+def matexp_action(A: HermitianMatrix, v: np.ndarray, opts: ExpOptions) -> ExpResult:
+    """R_n(A) v without forming R_n(A); one factorization per root pair."""
+    if opts.mode != MODE_ACTION:
+        raise BadSpec(f"matexp_action called with mode {opts.mode!r}")
+    return _evaluate(A, v, opts)
+
+
+def matexp_shifted(A: HermitianMatrix, opts: ExpOptions, v=None) -> ExpResult:
+    """exp(A) ~ e^c R_n(A - cI) for spectra that are not nonpositive.
+
+    shift="auto" takes c = alpha(A) when exact bounds are attached, else the
+    Gershgorin upper end.  The certified bound is relative:
+    e^(c - alpha(A)) * err_n(-rho'), rho' the radius of [lo - c, hi - c],
+    with alpha(A) replaced by a certified lower bound when not exactly known.
+    """
+    if opts.shift is None:
+        raise BadSpec("matexp_shifted needs shift='auto' or a fixed real shift")
+    return _evaluate(A, v, opts)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvariantViolation, SingularSystem
+from .errors import BadSpec, ConvergenceFailure, InvariantViolation, SingularSystem
 
 __all__ = [
     "HermitianMatrix",
@@ -72,12 +72,26 @@ class HermitianMatrix:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvariantViolation("square", f"shape {a.shape}")
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-        dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-        if dev > self.tol_herm * scale:
+        if a.size == 0:
+            raise BadSpec("matrix must have dimension d >= 1, got d = 0")
+        amax = float(np.max(np.abs(a)))  # NaN or inf when an entry is not finite
+        if not np.isfinite(amax):
+            raise BadSpec("matrix has non-finite entries")
+        scale = max(1.0, amax)
+        slack = self.tol_herm * scale
+        dev = float(np.max(np.abs(a - a.conj().T)))
+        if dev > slack:
             raise InvariantViolation(
                 "hermitian", f"max |A - A^H| = {dev:.3e} > {self.tol_herm:.1e} * {scale:.3e}"
             )
+        if self.bounds is not None:
+            # each a_ii = e_i^H A e_i is a Rayleigh quotient, so lo <= a_ii <= hi
+            diag = a.diagonal().real
+            if diag.min() < self.bounds.lo - slack or diag.max() > self.bounds.hi + slack:
+                raise BadSpec(
+                    f"diagonal [{diag.min()}, {diag.max()}] is not inside the attached "
+                    f"spectral bounds [{self.bounds.lo}, {self.bounds.hi}]"
+                )
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

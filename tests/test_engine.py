@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfexpm.engine import (
     MODE_ACTION,
@@ -450,3 +452,137 @@ class TestSpectralProperties:
         assert all(t >= 0.0 for t in res.per_term_times)
         assert res.t_para == max(res.per_term_times)
         assert res.t_total >= 0.0
+
+
+class TestWarningAttribution:
+    @pytest.mark.parametrize("route", ["full", "action", "shifted", "full-shift-auto"])
+    def test_order_warning_points_at_caller(self, route):
+        A = lap2d(6)  # Gershgorin rho = 8, so n = 16 <= 2 rho
+        v = np.ones(A.d)
+        call = {
+            "full": lambda: matexp_full(A, ExpOptions(n=16)),
+            "action": lambda: matexp_action(A, v, ExpOptions(n=16, mode=MODE_ACTION)),
+            "shifted": lambda: matexp_shifted(A, ExpOptions(n=16, shift="auto")),
+            "full-shift-auto": lambda: matexp_full(A, ExpOptions(n=16, shift="auto")),
+        }[route]
+        with pytest.warns(OrderTooSmallWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: HermitianMatrix(np.diag([-1.0, np.nan])),
+            lambda: HermitianMatrix(np.diag([-1.0, np.inf])),
+            lambda: HermitianMatrix(np.zeros((0, 0))),
+            lambda: matexp_action(
+                lap1d(4), np.array([1.0, np.nan, 0.0, 0.0]), ExpOptions(n=16, mode=MODE_ACTION)
+            ),
+        ],
+        ids=["nan-entry", "inf-entry", "d0", "nan-v"],
+    )
+    def test_rejected_early_with_badspec(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(BadSpec):
+                make()
+
+    def test_bounds_must_contain_the_diagonal(self):
+        # a_ii = e_i^H A e_i lies in the spectrum's hull: [-1, 0] cannot hold
+        # diag(-10, -1), whose n = 4 error 1.5e-3 exceeds the bound 1.35e-3
+        with pytest.raises(BadSpec):
+            HermitianMatrix(np.diag([-10.0, -1.0]), bounds=SpectralBounds(-1.0, 0.0, exact=True))
+        # rounding-level excursions stay within the Hermitian-check slack
+        HermitianMatrix(np.diag([-1.0 - 1e-14, 1e-14]), bounds=SpectralBounds(-1.0, 0.0))
+
+
+def _hermitian(seed: int, d: int, complex_: bool, lo: float, hi: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(lo, hi, d)
+    Z = rng.standard_normal((d, d))
+    if complex_:
+        Z = Z + 1j * rng.standard_normal((d, d))
+    Q, _ = np.linalg.qr(Z)
+    A = (Q * lam) @ Q.conj().T
+    return (A + A.conj().T) / 2.0, lam
+
+
+class TestSinglePath:
+    """shift= on matexp_full/matexp_action, matexp_shifted and an explicitly
+    shifted matrix all describe one computation; the thread count never
+    changes a bit of it."""
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_ACTION])
+    @pytest.mark.parametrize("shift", [None, "auto", "fixed"])
+    @pytest.mark.parametrize("attach", [False, True], ids=["gershgorin", "attached"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @settings(max_examples=8)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 6),
+        lo=st.floats(-6.0, 0.0),
+        width=st.floats(0.0, 4.0),
+        delta=st.floats(0.0, 3.0),
+        n=st.sampled_from([8, 16]),
+    )
+    def test_one_computation(self, complex_, attach, shift, mode, seed, d, lo, width, delta, n):
+        entries, lam = _hermitian(seed, d, complex_, lo, lo + width)
+        bounds = SpectralBounds(float(lam.min()), float(lam.max()), exact=True) if attach else None
+        A = HermitianMatrix(entries, bounds=bounds)
+        interval = bounds if attach else gershgorin_bounds(A)
+        if shift == "fixed":
+            shift = interval.hi + delta  # c >= alpha(A): the bound survives
+        if shift is None and interval.hi > 0.0:
+            shift = "auto"
+        rng = np.random.default_rng(seed + 1)
+        v = rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_ else 0.0)
+
+        def run(entry, threads):
+            opts = ExpOptions(n=n, mode=mode, shift=shift, threads=threads)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OrderTooSmallWarning)
+                if entry == "shifted":
+                    return matexp_shifted(A, opts, v=v if mode == MODE_ACTION else None)
+                if mode == MODE_ACTION:
+                    return matexp_action(A, v, opts)
+                return matexp_full(A, opts)
+
+        res = run("plain", 1)
+        assert np.array_equal(res.value, run("plain", 2).value)
+        if shift is None:
+            assert res.c_applied is None
+            return
+        shifted = run("shifted", 2)
+        assert np.array_equal(res.value, shifted.value)
+        assert res.c_applied == shifted.c_applied
+        assert (res.error_bound, res.bound_kind) == (shifted.error_bound, shifted.bound_kind)
+
+        # against exp(c) R_n(B) for the explicitly formed B = A - cI
+        c = res.c_applied
+        b_bounds = None
+        if attach:
+            b_bounds = SpectralBounds(bounds.lo - c, bounds.hi - c, exact=True)
+        B = HermitianMatrix(entries - c * np.eye(d), bounds=b_bounds)
+        opts = ExpOptions(n=n, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OrderTooSmallWarning)
+            ref = matexp_action(B, v, opts) if mode == MODE_ACTION else matexp_full(B, opts)
+        want = math.exp(c) * ref.value
+        assert np.linalg.norm(res.value - want) <= 1e-12 * np.linalg.norm(want)
+        if ref.error_bound is None:
+            assert res.error_bound is None and res.bound_kind is None
+        else:
+            alpha = bounds.hi if attach else float(np.max(np.diag(entries).real))
+            scale = math.exp(c - alpha)
+            # Gershgorin of the explicit B and the folded interval differ by a
+            # few ulps, which moves err_n(-rho) by ~ (n+1) ulp / rho relative:
+            # bounds below err_n(-0.1) are compared absolutely
+            assert res.bound_kind == "relative"
+            assert math.isclose(
+                res.error_bound,
+                scale * ref.error_bound,
+                rel_tol=1e-12,
+                abs_tol=scale * approx_error(n, -0.1),
+            )
