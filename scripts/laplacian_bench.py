@@ -4,7 +4,8 @@
 Runs matexp_full or matexp_action on 1-D (or 2-D) grid Laplacians over a
 list of dimensions and orders, comparing against a dense eigendecomposition
 oracle.  Prints one row per (d, n) with the measured error, the certified
-a priori bound when available, and the three timing columns:
+a priori bound (truncation term and rounding term) when available, and the
+three timing columns:
 
   t_seq    oracle wall time (median of repeats)
   t_para   slowest single shifted solve (critical path if run in parallel)
@@ -54,13 +55,14 @@ def main(argv=None) -> int:
     )
 
     print(
-        f"{'d':>6} {'n':>4} {'error':>12} {'bound':>12} "
+        f"{'d':>6} {'n':>4} {'error':>12} {'bound':>12} {'rounding':>12} "
         f"{'t_seq_ms':>10} {'t_para_ms':>10} {'t_total_ms':>10}"
     )
     for r in records:
         bound = f"{r.bound:.4e}" if r.bound is not None else "-"
+        rounding = f"{r.rounding:.4e}" if r.rounding is not None else "-"
         print(
-            f"{r.spec.d:>6} {r.n:>4} {r.error:>12.4e} {bound:>12} "
+            f"{r.spec.d:>6} {r.n:>4} {r.error:>12.4e} {bound:>12} {rounding:>12} "
             f"{r.t_seq:>10.2f} {r.t_para:>10.2f} {r.t_total:>10.2f}"
         )
 

@@ -24,9 +24,11 @@ t_para is the engine's max per-task time, t_total its wall time.  All
 durations in BenchRecord are milliseconds, matching the CSV columns.
 
 CSV schema (header exactly):
-  family,d,n,mode,shift,seed,trial,error,error_kind,t_seq_ms,t_para_ms,t_total_ms,bound
+  family,d,n,mode,shift,seed,trial,error,error_kind,t_seq_ms,t_para_ms,t_total_ms,bound,rounding
 Floats are written in scientific notation with 17 significant digits (exact
-binary64 round-trip); `bound` is empty when no certified bound exists and is
+binary64 round-trip); `bound` is the truncation term (ExpResult.error_bound)
+and `rounding` the binary64 rounding term (ExpResult.rounding_bound): their
+sum bounds the error.  Both are empty when no certified bound exists and are
 expressed in the same kind as `error_kind`; `shift` is the applied shift c
 or the literal `none`.  UTF-8, LF endings.
 The spectrum range of the random family is a generator parameter and is not
@@ -79,7 +81,7 @@ FAMILIES = (FAMILY_LAP1D, FAMILY_LAP2D, FAMILY_RANDOM)
 
 CSV_HEADER = (
     "family,d,n,mode,shift,seed,trial,error,error_kind,"
-    "t_seq_ms,t_para_ms,t_total_ms,bound"
+    "t_seq_ms,t_para_ms,t_total_ms,bound,rounding"
 )
 
 ERROR_ABSOLUTE = "absolute"
@@ -134,7 +136,8 @@ class BenchRecord:
     t_seq: float
     t_para: float
     t_total: float
-    bound: float | None
+    bound: float | None  # truncation term; bound + rounding bounds the error
+    rounding: float | None = None  # binary64 rounding term, same kind as bound
     per_term_times: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -247,13 +250,14 @@ def _run_one(
     else:
         kind = ERROR_ABSOLUTE
 
-    bound = res.error_bound
+    bound, rounding = res.error_bound, res.rounding_bound
     if bound is not None and res.bound_kind == "relative" and kind == ERROR_ABSOLUTE:
         # shifted run on a nonpositive spectrum: the certified bound is
         # relative, the error column absolute.  ||exp(A)||_2 = e^alpha <= e^c
         # (a bound only survives the shift when alpha <= c), so scaling by
         # e^c converts rigorously.
         bound = bound * math.exp(res.c_applied)
+        rounding = rounding * math.exp(res.c_applied)
 
     return BenchRecord(
         spec=spec,
@@ -267,6 +271,7 @@ def _run_one(
         t_para=t_para,
         t_total=t_total,
         bound=bound,
+        rounding=rounding,
         per_term_times=res.per_term_times,
     )
 
@@ -336,7 +341,7 @@ def _fmt(x: float) -> str:
 
 
 def emit_csv(records, path) -> None:
-    """Write BenchRecords to the flat schema; bound empty when uncertified."""
+    """Write BenchRecords to the flat schema; bound and rounding empty when uncertified."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
@@ -356,6 +361,7 @@ def emit_csv(records, path) -> None:
                     _fmt(r.t_para),
                     _fmt(r.t_total),
                     "" if r.bound is None else _fmt(r.bound),
+                    "" if r.rounding is None else _fmt(r.rounding),
                 ]
             )
 
@@ -387,6 +393,7 @@ def parse_csv(path) -> list[BenchRecord]:
                     t_para=float(row["t_para_ms"]),
                     t_total=float(row["t_total_ms"]),
                     bound=None if row["bound"] == "" else float(row["bound"]),
+                    rounding=None if row["rounding"] == "" else float(row["rounding"]),
                 )
             )
     return records

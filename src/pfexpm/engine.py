@@ -6,10 +6,20 @@ work: only one member of each root pair is factored, and the pair's
 contribution is reconstituted as M + M^H (elementwise 2 Re(a M) in the
 all-real case), so there are n/2 tasks.
 
+Each task factors its own shifted matrix.  When A is narrow-banded, it
+copies the band of A into LAPACK band storage and factors it with gbtrf
+(linalg._BandLU); otherwise it runs a dense complex LU.  The choice is fixed
+per call by linalg._band_pays from d, A's bandwidth (kl, ku) and the number
+of right-hand sides per pair (d in full mode, 1 or 2 in action mode): it
+compares the band and dense flop counts, weighting band flops 2x (factor)
+and 4x (solves) for their lower speed.  ExpResult.bandwidth reports which
+path ran.
+
 Tasks run on a thread pool, deposit into pre-assigned slots, and a single
 sequential ascending-index pass reduces the slots.  Results are therefore
 bit-identical for every thread count; t_para reports max over per-task wall
-times (the idealized fully-parallel time), t_total the actual wall time.
+times as run (workers and BLAS threads share the CPUs, so each task time
+includes contention), t_total the actual wall time.
 
 The reported error has two parts, both a priori and O(n) scalar work:
 error_bound is the truncation term, a bound on ||exp(A) - R_n(A)||_2 in exact
@@ -49,7 +59,7 @@ from .errors import (
     OrderTooSmallWarning,
     Overflow,
 )
-from .linalg import HermitianMatrix, SpectralBounds, gershgorin_bounds
+from .linalg import HermitianMatrix, SpectralBounds, _BandLU, _band_pays, gershgorin_bounds
 from .roots import check_order, default_table
 from .scalar import approx_error
 
@@ -129,6 +139,9 @@ class ExpResult:
     shifted run, relative to ||exp(A)||_2; in action mode, per unit ||v||_2)
     and both are None when the bound hypothesis fails.  Their sum bounds the
     error of the returned value; error_bound alone does not.
+
+    bandwidth reports the solve path: (kl, ku) of A when every pole pair was
+    factored in LAPACK band storage, None when the dense LU ran.
     """
 
     value: np.ndarray
@@ -139,6 +152,7 @@ class ExpResult:
     t_total: float
     rounding_bound: float | None = None  # None iff error_bound is None
     c_applied: float | None = field(default=None, compare=False)
+    bandwidth: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.per_term_times and self.t_para != max(self.per_term_times):
@@ -225,8 +239,13 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
        g gt ||M_k + F_k|| ||Y_k||, gt = sqrt(2) gamma_{3d+6}.  That is the
        normwise form of the backward error |dM| <= gamma_{3d} |L||U| of
        partial-pivoted LU, with the constant of complex arithmetic; g is not
-       checked at run time (a residual costs O(d^3) in full mode).  Against
-       the exact M_k the residual is at most eta_k ||Y_k|| with
+       checked at run time (a residual costs O(d^3) in full mode).  The same
+       constant covers the band LU (gbtrf/gbtrs) of banded A: each entry of
+       its L U and of its triangular solves is an inner product over at most
+       m = min(d, kl + ku + 1) terms, so its backward-error constant is
+       gamma_{3m}, which depends on kl + ku and not on d, and gamma_{3d}
+       bounds it.  Against the exact M_k the residual is at most
+       eta_k ||Y_k|| with
        eta_k = g gt (rho + |theta_k| + phi_k) + phi_k.  Since
        Y_k - X_k R = X_k (M_k Y_k - R) and ||X_k|| <= 1/beta_k,
          s_k = ||Y_k - X_k R|| / ||R|| <= eta_k / (beta_k (beta_k - eta_k)),
@@ -265,7 +284,10 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
 
 
 def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
-    """Shared task fabric: n/2 solves with A + (theta_k - c) I, ordered reduction."""
+    """Shared task fabric: n/2 solves with A + (theta_k - c) I, ordered reduction.
+
+    Returns (sum, per-task times, wall time, A.bandwidth or None for dense).
+    """
     table = default_table(opts.n)
     poles = table.thetas_f8() - c
     coeffs = table.coeffs_f8()
@@ -279,29 +301,43 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
         if not np.all(np.isfinite(v)):
             raise BadSpec("v has non-finite entries")
 
+    nrhs = (1 if real_path else 2) if action else d
+    banded = _band_pays(d, *A.bandwidth, nrhs)
     slots = [None] * (opts.n // 2)
     times = [0.0] * (opts.n // 2)
 
     def task(slot: int) -> None:
         t0 = time.perf_counter()
         a = coeffs[2 * slot]
-        M = A.entries + poles[2 * slot] * np.eye(d)
-        if action:
-            if real_path:
-                y = np.linalg.solve(M, v)
-                out = 2.0 * (a * y).real
+        if banded:
+            lu = _BandLU(A, poles[2 * slot])
+            if action:
+                aY = a * lu.solve(v.copy())
+                if real_path:
+                    out = 2.0 * aY.real
+                else:
+                    out = aY + np.conj(a) * lu.solve(v.copy(), trans=2)
             else:
-                lu = scipy.linalg.lu_factor(M, check_finite=False)
-                y = scipy.linalg.lu_solve(lu, v, trans=0, check_finite=False)
-                yc = scipy.linalg.lu_solve(lu, v, trans=2, check_finite=False)
-                out = a * y + np.conj(a) * yc
+                aX = a * lu.solve(np.eye(d, dtype=complex, order="F"))
+                out = 2.0 * aX.real if real_path else aX + aX.conj().T
         else:
-            X = np.linalg.solve(M, np.eye(d, dtype=complex))
-            if real_path:
-                out = 2.0 * (a * X).real
+            M = A.entries + poles[2 * slot] * np.eye(d)
+            if action:
+                if real_path:
+                    y = np.linalg.solve(M, v)
+                    out = 2.0 * (a * y).real
+                else:
+                    lu = scipy.linalg.lu_factor(M, check_finite=False)
+                    y = scipy.linalg.lu_solve(lu, v, trans=0, check_finite=False)
+                    yc = scipy.linalg.lu_solve(lu, v, trans=2, check_finite=False)
+                    out = a * y + np.conj(a) * yc
             else:
-                aX = a * X
-                out = aX + aX.conj().T
+                X = np.linalg.solve(M, np.eye(d, dtype=complex))
+                if real_path:
+                    out = 2.0 * (a * X).real
+                else:
+                    aX = a * X
+                    out = aX + aX.conj().T
         slots[slot] = out
         times[slot] = time.perf_counter() - t0
 
@@ -318,7 +354,7 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
     for i in range(1, len(slots)):
         acc = acc + slots[i]
     t_total = time.perf_counter() - t_start
-    return acc, tuple(times), t_total
+    return acc, tuple(times), t_total, A.bandwidth if banded else None
 
 
 def _alpha_lower(A: HermitianMatrix) -> float:
@@ -354,7 +390,7 @@ def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
         c = float(bounds.alpha() if opts.shift == "auto" else opts.shift)
         if c > SHIFT_MAX:
             raise Overflow(f"exp({c}) overflows binary64 (shift limit {SHIFT_MAX})")
-    value, times, t_total = _run_tasks(A, v, opts, c)
+    value, times, t_total, bandwidth = _run_tasks(A, v, opts, c)
     shifted = SpectralBounds(bounds.lo - c, bounds.hi - c, bounds.exact)
     bound = _interval_bound(shifted, opts.n, stacklevel=4)
     kind = rounding = None
@@ -381,6 +417,7 @@ def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
         t_total=t_total,
         rounding_bound=rounding,
         c_applied=None if opts.shift is None else c,
+        bandwidth=bandwidth,
     )
 
 

@@ -22,7 +22,7 @@ from pfexpm.bench import (
     run_matrix_suite,
     run_scalar_suite,
 )
-from pfexpm.engine import MODE_ACTION, MODE_FULL, apriori_bound
+from pfexpm.engine import MODE_ACTION, MODE_FULL, ExpOptions, apriori_bound, matexp_full
 from pfexpm.errors import BadSpec, OrderTooSmallWarning, ParseError
 from pfexpm.linalg import SpectralBounds, eig_hermitian, gershgorin_bounds
 from pfexpm.scalar import bound_m1, bound_m2
@@ -184,6 +184,24 @@ class TestMatrixSuite:
         assert r.bound is not None
         assert r.error <= r.bound
 
+    def test_rounding_column_is_the_rounding_bound(self):
+        # lap1d at n=32: the truncation term alone (3.2e-21) is below the
+        # observed error; bound + rounding covers it
+        spec = MatrixSpec(FAMILY_LAP1D, 50)
+        (r,) = run_matrix_suite([spec], [32], timing_repeats=1)
+        res = matexp_full(gen_matrix(spec), ExpOptions(n=32))
+        assert r.bound == res.error_bound and r.rounding == res.rounding_bound
+        assert r.error > r.bound
+        assert r.error <= r.bound + r.rounding
+
+    def test_shifted_nonpositive_rounding_converted_to_absolute(self):
+        spec = MatrixSpec(FAMILY_LAP1D, 20)
+        (r,) = run_matrix_suite([spec], [16], shift=1.0, timing_repeats=1)
+        res = matexp_full(gen_matrix(spec), ExpOptions(n=16, shift=1.0))
+        assert res.bound_kind == "relative"
+        assert r.rounding == res.rounding_bound * math.exp(1.0)
+        assert r.error <= r.bound + r.rounding
+
     def test_reproducible_errors(self):
         specs = [MatrixSpec(FAMILY_RANDOM, 20, (-1.0, 0.0), seed=9)]
         a = run_matrix_suite(specs, [8], trials=3, timing_repeats=1)
@@ -261,6 +279,9 @@ class TestCsv:
         emit_csv(recs, path)
         assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
         assert parse_csv(path)[0].bound is None
+        assert recs[0].rounding is None
+        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",,")
+        assert parse_csv(path)[0].rounding is None
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

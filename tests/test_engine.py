@@ -13,6 +13,7 @@ from pfexpm.engine import (
     MODE_ACTION,
     MODE_FULL,
     SHIFT_MAX,
+    SOLVE_GROWTH,
     ExpOptions,
     ExpResult,
     apriori_bound,
@@ -25,11 +26,14 @@ from pfexpm.errors import OrderTooSmallWarning
 from pfexpm.linalg import (
     HermitianMatrix,
     SpectralBounds,
+    _band_pays,
     eig_hermitian,
     exp_oracle,
     gershgorin_bounds,
     norm2,
+    shifted_inverse,
 )
+from pfexpm.roots import default_table
 from pfexpm.scalar import approx_error, eval_pf, eval_reciprocal, partial_fraction
 
 EPS = float(np.finfo(np.float64).eps)
@@ -695,3 +699,131 @@ class TestRoundingBound:
         if res.bound_kind == "relative":
             err /= math.exp(lam.max())
         assert err <= self.total(res)
+
+
+def _banded(seed: int, d: int, b: int, complex_: bool, lopsided: bool) -> np.ndarray:
+    """Hermitian, half-bandwidth b, Gershgorin interval inside [-2 sqrt(2) - 1/2, 0].
+
+    Off-diagonal rows sum to r_i <= sqrt(2) in modulus (<= 1 when real) and
+    a_ii = -r_i - s_i with s_i in [0, 1/2], so every disc lies in
+    [-2 r_i - s_i, -s_i].  lopsided
+    adds one entry of 1e-14 just below the band, inside the Hermitian check's
+    tolerance, so that kl = b + 1 while ku = b.
+    """
+    rng = np.random.default_rng(seed)
+    A = np.zeros((d, d), dtype=complex if complex_ else float)
+    for k in range(1, min(b, d - 1) + 1):
+        x = rng.uniform(-1.0, 1.0, d - k)
+        if complex_:
+            x = x + 1j * rng.uniform(-1.0, 1.0, d - k)
+        idx = np.arange(d - k)
+        A[idx, idx + k] = x / (2.0 * b)
+        A[idx + k, idx] = np.conj(x) / (2.0 * b)
+    r = np.sum(np.abs(A), axis=1)
+    A[np.arange(d), np.arange(d)] = -r - rng.uniform(0.0, 0.5, d)
+    if lopsided and b + 1 < d:
+        A[b + 1, 0] = 1e-14
+    return A
+
+
+def _dense_reference(A: HermitianMatrix, v, n: int, c: float) -> np.ndarray:
+    """e^c sum_k a_k (A + (theta_k - c) I)^-1 R over all n roots, by np.linalg.solve."""
+    table = default_table(n)
+    R = np.eye(A.d) if v is None else v
+    total = sum(
+        a * np.linalg.solve(A.entries + (theta - c) * np.eye(A.d), R)
+        for theta, a in zip(table.thetas_f8(), table.coeffs_f8())
+    )
+    return math.exp(c) * total
+
+
+class TestBandedPath:
+    """Banded A is factored in band storage; the value is the dense one."""
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_ACTION])
+    @pytest.mark.parametrize("shift", [None, "auto"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 60),
+        b=st.sampled_from([0, 1, 2, 5]),
+        lopsided=st.booleans(),
+        offset=st.floats(0.0, 3.0),
+        n=st.sampled_from([12, 16]),
+    )
+    def test_matches_dense_and_is_bounded(
+        self, complex_, shift, mode, seed, d, b, lopsided, offset, n
+    ):
+        entries = _banded(seed, d, b, complex_, lopsided)
+        if shift == "auto":
+            entries = entries + offset * np.eye(d)  # spectrum may reach above 0
+        A = HermitianMatrix(entries)
+        assert A.bandwidth[1] == min(b, d - 1)
+        assert A.bandwidth[0] == (b + 1 if lopsided and b + 1 < d else min(b, d - 1))
+        rng = np.random.default_rng(seed + 1)
+        v = None
+        if mode == MODE_ACTION:
+            v = rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_ else 0.0)
+
+        def run(threads):
+            opts = ExpOptions(n=n, mode=mode, shift=shift, threads=threads)
+            return matexp_action(A, v, opts) if v is not None else matexp_full(A, opts)
+
+        res = run(1)
+        assert np.array_equal(res.value, run(2).value)
+        nrhs = d if v is None else (1 if not complex_ else 2)
+        banded = _band_pays(d, *A.bandwidth, nrhs)
+        assert res.bandwidth == (A.bandwidth if banded else None)
+
+        c = 0.0 if res.c_applied is None else res.c_applied
+        want = _dense_reference(A, v, n, c)
+        assert np.linalg.norm(res.value - want) <= 1e-12 * np.linalg.norm(want)
+
+        assert res.error_bound is not None  # rho <= 2 sqrt(2) + 1/2 < n/2
+        E = exp_oracle(A)
+        R = np.eye(d) if v is None else v
+        err = np.linalg.norm(res.value - E @ R, 2) / np.linalg.norm(R, 2)
+        if res.bound_kind == "relative":
+            err /= math.exp(float(np.linalg.eigvalsh(entries).max()))
+        assert err <= res.error_bound + res.rounding_bound
+
+    def test_stencils_report_their_bandwidth(self):
+        opts = ExpOptions(n=20, mode=MODE_ACTION)  # lap2d: rho = 8 < n/2
+        v = np.ones(400) / 20.0
+        assert matexp_full(lap1d(100), ExpOptions(n=16)).bandwidth == (1, 1)
+        assert matexp_action(lap1d(100), v[:100], opts).bandwidth == (1, 1)
+        assert matexp_action(lap2d(20), v, opts).bandwidth == (20, 20)
+        assert matexp_full(lap2d(20), ExpOptions(n=20)).bandwidth == (20, 20)
+
+    def test_dense_input_reports_none(self):
+        entries, _ = _hermitian(3, 40, False, -2.0, 0.0)
+        A = HermitianMatrix(entries)
+        assert A.bandwidth == (39, 39)
+        assert matexp_full(A, ExpOptions(n=16, shift="auto")).bandwidth is None
+        v = np.ones(40)
+        opts = ExpOptions(n=16, mode=MODE_ACTION, shift="auto")
+        assert matexp_action(A, v, opts).bandwidth is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: lap1d(300), lambda: HermitianMatrix(125.0 * lap2d(20).entries)],
+        ids=["lap1d-300", "lap2d-400x125"],
+    )
+    @pytest.mark.parametrize("n", [16, 20, 32])
+    def test_solve_growth_hypothesis_holds(self, make, n):
+        """Evidence for SOLVE_GROWTH = 1 on the band LU: every pair's
+        residual ||M X - I||_2 stays below 0.02 of the hypothesis
+        g sqrt(2) gamma_{3d+6} ||M||_2 ||X||_2 that _rounding_bound assumes."""
+        A = make()
+        d = A.d
+        assert _band_pays(d, *A.bandwidth, d)  # shifted_inverse runs the band LU
+        gamma = (3 * d + 6) * 2.0**-53 / (1.0 - (3 * d + 6) * 2.0**-53)
+        lam = np.linalg.eigvalsh(A.entries)
+        for theta in default_table(n).thetas_f8()[::2]:
+            X = shifted_inverse(A, theta)
+            M = A.entries + theta * np.eye(d)
+            resid = np.linalg.norm(M @ X - np.eye(d), 2)
+            norm_m = float(np.max(np.abs(lam + theta)))  # M is normal
+            allowed = 0.02 * SOLVE_GROWTH * math.sqrt(2.0) * gamma * norm_m
+            assert resid <= allowed * np.linalg.norm(X, 2)

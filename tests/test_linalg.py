@@ -24,6 +24,13 @@ def random_hermitian(rng, d):
     return L.HermitianMatrix((b + b.conj().T) / 2.0)
 
 
+def random_banded_hermitian(rng, d, kl):
+    """Complex Hermitian with kl nonzero sub- and superdiagonals."""
+    b = np.tril(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    b = np.triu(b, -kl)
+    return L.HermitianMatrix(b + b.conj().T)
+
+
 class TestSpectralBounds:
     def test_interval_semantics(self):
         b = L.SpectralBounds(-4.0, 0.0, exact=False)
@@ -65,6 +72,22 @@ class TestHermitianMatrix:
         m = lap1d(3)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 7.0
+
+    def test_bandwidth_of_the_nonzero_pattern(self):
+        assert lap1d(5).bandwidth == (1, 1)
+        assert L.HermitianMatrix(np.zeros((3, 3))).bandwidth == (0, 0)
+        assert L.HermitianMatrix(np.diag([1.0, 2.0])).bandwidth == (0, 0)
+        assert L.HermitianMatrix(np.ones((4, 4))).bandwidth == (3, 3)
+        a = np.eye(6)
+        a[4, 1] = a[1, 4] = 0.5  # one far pair; rows 0 and 5 have only a diagonal
+        assert L.HermitianMatrix(a).bandwidth == (3, 3)
+
+    def test_bandwidth_sides_measured_separately(self):
+        # asymmetry within tol_herm passes validation and widens one side only
+        a = lap1d(6).entries.copy()
+        a[4, 0] = 1e-14
+        assert L.HermitianMatrix(a).bandwidth == (4, 1)
+        assert L.HermitianMatrix(a.T.copy()).bandwidth == (1, 4)
 
 
 class TestShiftedSolve:
@@ -115,6 +138,61 @@ class TestShiftedSolve:
             M = A.entries + theta * np.eye(d)
             res = float(np.linalg.norm(M @ y - v))
             assert res <= L.solve_residual_bound(A, theta, y)
+
+    def test_residual_property_random_banded(self):
+        # the residual contract of test_residual_property_random, on banded
+        # matrices that the band LU factors
+        rng = np.random.default_rng(2016)
+        thetas = R.default_table(16).thetas_f8()
+        for _ in range(100):
+            d = int(rng.integers(20, 201))
+            kl = int(rng.integers(0, 6))
+            A = random_banded_hermitian(rng, d, kl)
+            assert A.bandwidth == (kl, kl) and L._band_pays(d, kl, kl, 1)
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            theta = thetas[int(rng.integers(0, 16))]
+            y = L.shifted_solve(A, theta, v)
+            M = A.entries + theta * np.eye(d)
+            res = float(np.linalg.norm(M @ y - v))
+            assert res <= L.solve_residual_bound(A, theta, y)
+
+    def test_residual_bound_lap2d_all_shifts(self):
+        m = 10
+        b = lap1d(m).entries.real
+        A = L.HermitianMatrix(np.kron(b, np.eye(m)) + np.kron(np.eye(m), b))
+        assert A.bandwidth == (m, m)
+        v = np.ones(m * m, dtype=complex)
+        for theta in R.default_table(16).thetas_f8():
+            y = L.shifted_solve(A, theta, v)
+            M = A.entries + theta * np.eye(m * m)
+            res = float(np.linalg.norm(M @ y - v))
+            assert res <= L.solve_residual_bound(A, theta, y)
+
+    def test_band_matches_dense(self):
+        rng = np.random.default_rng(7)
+        A = random_banded_hermitian(rng, 60, 3)
+        theta = complex(-2.0, 3.0)
+        M = A.entries + theta * np.eye(60)
+        V = rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2))
+        assert L._band_pays(60, 3, 3, 2) and L._band_pays(60, 3, 3, 60)
+        want = np.linalg.solve(M, V)
+        assert np.allclose(L.shifted_solve(A, theta, V), want, rtol=0.0, atol=1e-14)
+        assert np.allclose(L.shifted_inverse(A, theta), np.linalg.inv(M), rtol=0.0, atol=1e-14)
+        lu = L._BandLU(A, theta)
+        want_h = np.linalg.solve(M.conj().T, V[:, 0])
+        assert np.allclose(lu.solve(V[:, 0].copy(), trans=2), want_h, rtol=0.0, atol=1e-14)
+
+    def test_band_solve_leaves_the_right_hand_side(self):
+        A = lap1d(40)
+        V = np.asfortranarray(np.ones((40, 2), dtype=complex))
+        L.shifted_solve(A, 1j, V)
+        assert np.array_equal(V, np.ones((40, 2)))
+
+    def test_singular_band_system(self):
+        A = L.HermitianMatrix(np.zeros((20, 20)))
+        assert L._band_pays(20, 0, 0, 1)
+        with pytest.raises(SingularSystem):
+            L.shifted_solve(A, 0.0, np.ones(20))
 
 
 class TestShiftedInverse:
