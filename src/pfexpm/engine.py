@@ -15,7 +15,10 @@ compares the band and dense flop counts, weighting band flops 2x (factor)
 and 4x (solves) for their lower speed.  ExpResult.bandwidth reports which
 path ran.
 
-Tasks run on a thread pool, deposit into pre-assigned slots, and a single
+Dense tasks run on a thread pool; band tasks run one after another in the
+calling thread, because scipy's gbtrf/gbtrs wrappers hold the GIL, so pool
+threads could not overlap them and would only add contention and
+call-to-call jitter.  Tasks deposit into pre-assigned slots, and a single
 sequential ascending-index pass reduces the slots.  Results are therefore
 bit-identical for every thread count; t_para reports max over per-task wall
 times as run (workers and BLAS threads share the CPUs, so each task time
@@ -342,7 +345,8 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
         times[slot] = time.perf_counter() - t0
 
     t_start = time.perf_counter()
-    workers = opts.worker_count(len(slots))
+    # the band wrappers hold the GIL: a pool cannot overlap band tasks
+    workers = 1 if banded else opts.worker_count(len(slots))
     if workers == 1:
         for i in range(len(slots)):
             task(i)

@@ -805,6 +805,23 @@ class TestBandedPath:
         opts = ExpOptions(n=16, mode=MODE_ACTION, shift="auto")
         assert matexp_action(A, v, opts).bandwidth is None
 
+    def test_band_tasks_run_in_the_calling_thread(self, monkeypatch):
+        """The band wrappers hold the GIL, so the band path never starts a pool;
+        the dense path still does."""
+        import pfexpm.engine as engine
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
+        opts = ExpOptions(n=20, mode=MODE_ACTION, threads=2)
+        v = np.ones(400) / 20.0
+        assert matexp_action(lap2d(20), v, opts).bandwidth == (20, 20)
+        assert matexp_full(lap1d(100), ExpOptions(n=16, threads=2)).bandwidth == (1, 1)
+        entries, _ = _hermitian(3, 40, False, -2.0, 0.0)
+        with pytest.raises(AssertionError, match="thread pool started"):
+            matexp_full(HermitianMatrix(entries), ExpOptions(n=16, shift="auto", threads=2))
+
     @pytest.mark.parametrize(
         "make",
         [lambda: lap1d(300), lambda: HermitianMatrix(125.0 * lap2d(20).entries)],
