@@ -7,8 +7,9 @@ contribution is reconstituted as M + M^H (elementwise 2 Re(a M) in the
 all-real case), so there are n/2 tasks.
 
 Each task factors its own shifted matrix.  When A is narrow-banded, it
-copies the band of A into LAPACK band storage and factors it with gbtrf
-(linalg._BandLU); otherwise it runs a dense complex LU.  The choice is fixed
+copies the LAPACK band storage that A built once at construction, adds its
+pole to the diagonal row and factors it with gbtrf (linalg._BandLU);
+otherwise it runs a dense complex LU on A.entries + pole I.  The choice is fixed
 per call by linalg._band_pays from d, A's bandwidth (kl, ku) and the number
 of right-hand sides per pair (d in full mode, 1 or 2 in action mode): it
 compares the band and dense flop counts, weighting band flops 2x (factor)
@@ -37,7 +38,8 @@ exp(A) = e^c exp(A - cI) with c >= alpha(A) = max eigenvalue; the reported
 bound then controls the relative error.  The shift only moves the poles,
 (A - cI) + theta_k I = A + (theta_k - c) I, so A - cI is never formed:
 `shift=` works with every entry point, and all of them share one path
-(_evaluate) that reads A's spectral interval once.  Only normal (here:
+(_evaluate) that reads A's spectral interval: the attached bounds, or the
+Gershgorin interval A computed at construction.  Only normal (here:
 Hermitian) matrices are supported; non-normal inputs would amplify the scalar
 error by the eigenbasis conditioning and are rejected by HermitianMatrix
 validation.
@@ -62,7 +64,7 @@ from .errors import (
     OrderTooSmallWarning,
     Overflow,
 )
-from .linalg import HermitianMatrix, SpectralBounds, _BandLU, _band_pays, gershgorin_bounds
+from .linalg import HermitianMatrix, SpectralBounds, _band_path, _BandLU, gershgorin_bounds
 from .roots import check_order, default_table
 from .scalar import approx_error
 
@@ -305,7 +307,7 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
             raise BadSpec("v has non-finite entries")
 
     nrhs = (1 if real_path else 2) if action else d
-    banded = _band_pays(d, *A.bandwidth, nrhs)
+    banded = _band_path(A, nrhs)
     slots = [None] * (opts.n // 2)
     times = [0.0] * (opts.n // 2)
 

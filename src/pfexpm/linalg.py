@@ -4,13 +4,21 @@ Thin validated wrappers around LAPACK (through numpy and scipy) providing
 exactly what the matrix-exponential engine consumes: complex shifted solves
 with a residual contract, a Hermitian eigendecomposition used as the exp
 oracle, spectral interval estimates, and 2-norms.  Everything here is pure
-and all matrices are treated as immutable once built; concurrent shifted
-solves on one matrix are safe because each call factors its own shifted copy.
+and all matrices are immutable once built; concurrent shifted solves on one
+matrix are safe because each call factors its own shifted copy.
 
-A HermitianMatrix records the lower and upper bandwidth (kl, ku) of its
-nonzero pattern.  A shifted solve factors A + theta I in LAPACK band storage
-(gbtrf/gbtrs) instead of densely whenever _band_pays(d, kl, ku, nrhs) says
-the band LU is the cheaper of the two by flop count.
+A HermitianMatrix builds everything that depends on A alone once, at
+construction, from its own copy of the input:
+  - entries, float64 for real input (including complex input whose
+    imaginary parts are all zero) and complex128 otherwise;
+  - the lower and upper bandwidth (kl, ku) of the nonzero pattern;
+  - the Gershgorin interval, from the |a_ij| array that validation builds;
+  - when A is narrow enough for the band LU to pay, A's band in LAPACK band
+    storage, a read-only complex (2 kl + ku + 1) x d array.
+A shifted solve factors A + theta I in band storage (gbtrf/gbtrs) instead of
+densely whenever _band_pays(d, kl, ku, nrhs) says the band LU is the cheaper
+of the two by flop count; it copies the stored band and adds theta to the
+diagonal row, so the band is extracted from A once per matrix.
 """
 
 from __future__ import annotations
@@ -79,7 +87,14 @@ class SpectralBounds:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Validated dense Hermitian matrix, optionally carrying spectral bounds."""
+    """Validated dense Hermitian matrix, optionally carrying spectral bounds.
+
+    The input is copied: entries is a read-only float64 array for real input
+    (is_real() holds) and a read-only complex128 array otherwise.  The
+    Gershgorin interval and, when the band LU can pay, A's band in LAPACK band
+    storage ((2 kl + ku + 1) d complex entries, 16 (2 kl + ku + 1) d bytes)
+    are built with it.
+    """
 
     entries: np.ndarray
     tol_herm: float = 1e-12
@@ -87,10 +102,17 @@ class HermitianMatrix:
     # (kl, ku): a_ij == 0 whenever i - j > kl or j - i > ku.  Both sides are
     # measured, since the Hermitian check tolerates tol_herm-sized asymmetry.
     bandwidth: tuple[int, int] = field(init=False, compare=False)
-    _real: bool = field(init=False, compare=False, repr=False)
+    _gershgorin: SpectralBounds = field(init=False, compare=False, repr=False)
+    # LAPACK band storage of A (row kl + ku - k holds diagonal k), or None
+    # when the band LU cannot pay for any number of right-hand sides
+    _band: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
+        a = np.asarray(self.entries)
+        if np.iscomplexobj(a) and np.any(a.imag):
+            a = np.array(a, dtype=complex)
+        else:
+            a = np.array(a.real, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvariantViolation("square", f"shape {a.shape}")
         if a.size == 0:
@@ -106,25 +128,41 @@ class HermitianMatrix:
             raise InvariantViolation(
                 "hermitian", f"max |A - A^H| = {dev:.3e} > {self.tol_herm:.1e} * {scale:.3e}"
             )
+        diag = a.diagonal().real
         if self.bounds is not None:
             # each a_ii = e_i^H A e_i is a Rayleigh quotient, so lo <= a_ii <= hi
-            diag = a.diagonal().real
             if diag.min() < self.bounds.lo - slack or diag.max() > self.bounds.hi + slack:
                 raise BadSpec(
                     f"diagonal [{diag.min()}, {diag.max()}] is not inside the attached "
                     f"spectral bounds [{self.bounds.lo}, {self.bounds.hi}]"
                 )
+        radii = np.sum(mag, axis=1) - mag.diagonal()
+        gershgorin = SpectralBounds(
+            lo=float(np.min(diag - radii)), hi=float(np.max(diag + radii)), exact=False
+        )
+        kl, ku = _bandwidth(mag != 0.0)
+        d = a.shape[0]
+        band = None
+        # the band LU pays for some number of right-hand sides only if it pays
+        # for one: a band solve is cheaper per right-hand side only when
+        # 4 (2 kl + ku + 1) < d, and then the band factor costs below d^3 / 16
+        if _band_pays(d, kl, ku, 1):
+            band = np.zeros((2 * kl + ku + 1, d), dtype=complex, order="F")
+            for k in range(-kl, ku + 1):
+                band[kl + ku - k, max(k, 0) : d + min(k, 0)] = np.diagonal(a, k)
+            band.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "bandwidth", _bandwidth(mag != 0.0))
-        object.__setattr__(self, "_real", not np.any(a.imag))
+        object.__setattr__(self, "bandwidth", (kl, ku))
+        object.__setattr__(self, "_gershgorin", gershgorin)
+        object.__setattr__(self, "_band", band)
 
     @property
     def d(self) -> int:
         return self.entries.shape[0]
 
     def is_real(self) -> bool:
-        return self._real
+        return not np.iscomplexobj(self.entries)
 
 
 def _bandwidth(nonzero: np.ndarray) -> tuple[int, int]:
@@ -156,21 +194,22 @@ def _band_pays(d: int, kl: int, ku: int, nrhs: int) -> bool:
     return band <= dense
 
 
+def _band_path(A: HermitianMatrix, nrhs: int) -> bool:
+    """Whether a shifted solve of A with nrhs right-hand sides runs the band LU."""
+    return A._band is not None and _band_pays(A.d, *A.bandwidth, nrhs)
+
+
 class _BandLU:
     """Partial-pivoted LU of A + pole I in LAPACK band storage (zgbtrf).
 
-    Copies the band of A.entries into a (2 kl + ku + 1) x d array, adds the
-    pole to its diagonal row and factors it once; solve() then runs zgbtrs.
-    Each instance owns its copy and its factor, so instances on one matrix
-    may be used from different threads.
+    Copies A's stored band, adds the pole to its diagonal row and factors it
+    once; solve() then runs zgbtrs.  Each instance owns its copy and its
+    factor, so instances on one matrix may be used from different threads.
     """
 
     def __init__(self, A: HermitianMatrix, pole: complex):
         kl, ku = A.bandwidth
-        d = A.d
-        ab = np.zeros((2 * kl + ku + 1, d), dtype=complex, order="F")
-        for k in range(-kl, ku + 1):  # row kl + ku - k holds diagonal k
-            ab[kl + ku - k, max(k, 0) : d + min(k, 0)] = np.diagonal(A.entries, k)
+        ab = A._band.copy(order="F")
         ab[kl + ku] += pole
         lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
         if info > 0:
@@ -194,7 +233,7 @@ def shifted_solve(A: HermitianMatrix, theta: complex, V: np.ndarray) -> np.ndarr
     has a real spectrum.
     """
     V = np.asarray(V, dtype=complex)
-    if _band_pays(A.d, *A.bandwidth, 1 if V.ndim == 1 else V.shape[1]):
+    if _band_path(A, 1 if V.ndim == 1 else V.shape[1]):
         return _BandLU(A, theta).solve(V.copy(order="F"))
     M = A.entries + np.asarray(theta, dtype=complex) * np.eye(A.d)
     try:
@@ -235,15 +274,12 @@ def norm2(M) -> float:
 
 
 def gershgorin_bounds(A: HermitianMatrix) -> SpectralBounds:
-    """Cheap spectral enclosure from Gershgorin discs (centers are real)."""
-    a = A.entries
-    centers = np.real(np.diag(a))
-    radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-    return SpectralBounds(
-        lo=float(np.min(centers - radii)),
-        hi=float(np.max(centers + radii)),
-        exact=False,
-    )
+    """Cheap spectral enclosure from Gershgorin discs (centers are real).
+
+    [min(a_ii - r_i), max(a_ii + r_i)] with r_i = sum_j |a_ij| - |a_ii|,
+    computed once when A is built.
+    """
+    return A._gershgorin
 
 
 def solve_residual_bound(A: HermitianMatrix, theta: complex, y: np.ndarray) -> float:

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgbtrf
+
+import pfexpm.engine as engine
+import pfexpm.linalg as linalg
 
 from pfexpm.engine import (
     MODE_ACTION,
@@ -844,3 +848,110 @@ class TestBandedPath:
             norm_m = float(np.max(np.abs(lam + theta)))  # M is normal
             allowed = 0.02 * SOLVE_GROWTH * math.sqrt(2.0) * gamma * norm_m
             assert resid <= allowed * np.linalg.norm(X, 2)
+
+
+class _CountingNumpy:
+    """numpy, with the np.diagonal calls that extract a band counted."""
+
+    def __init__(self):
+        self.diagonals = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def diagonal(self, *args, **kwargs):
+        self.diagonals += 1
+        return np.diagonal(*args, **kwargs)
+
+
+class _PerPairBandLU(linalg._BandLU):
+    """Reference band LU: extracts A's band from A.entries for every pole pair."""
+
+    def __init__(self, A, pole):
+        kl, ku = A.bandwidth
+        d = A.d
+        ab = np.zeros((2 * kl + ku + 1, d), dtype=complex, order="F")
+        for k in range(-kl, ku + 1):
+            ab[kl + ku - k, max(k, 0) : d + min(k, 0)] = np.diagonal(A.entries, k)
+        ab[kl + ku] += pole
+        lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
+        assert info == 0
+        self._lu, self._piv, self._kl, self._ku = lu, piv, kl, ku
+
+
+class TestOperatorData:
+    """What depends on A alone is built once, with the operator."""
+
+    def test_band_extracted_at_construction_only(self, monkeypatch):
+        A2, A1 = lap2d(20), lap1d(100)
+        counter = _CountingNumpy()
+        monkeypatch.setattr(linalg, "np", counter)
+        v = np.ones(400) / 20.0
+        opts = ExpOptions(n=20, mode=MODE_ACTION)  # lap2d: rho = 8 < n/2
+        first = matexp_action(A2, v, opts)
+        again = matexp_action(A2, v, opts)
+        full = matexp_full(A1, ExpOptions(n=16))
+        assert counter.diagonals == 0
+        assert (first.bandwidth, full.bandwidth) == ((20, 20), (1, 1))
+        assert first.value.tobytes() == again.value.tobytes()
+        assert full.value.tobytes() == matexp_full(A1, ExpOptions(n=16)).value.tobytes()
+        HermitianMatrix(A2.entries)
+        assert counter.diagonals == 41  # one copy per diagonal, kl + ku + 1
+        assert A2._band.shape == (2 * 20 + 20 + 1, 400) and A1._band.shape == (4, 100)
+        for A in (A1, A2):
+            assert not A._band.flags.writeable and not A.entries.flags.writeable
+
+    @pytest.mark.parametrize("mode", [MODE_FULL, MODE_ACTION])
+    @pytest.mark.parametrize("attach", [False, True], ids=["gershgorin", "attached"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero-imag"])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 40),
+        b=st.sampled_from([0, 1, 2, 5, 40]),
+        lopsided=st.booleans(),
+        n=st.sampled_from([12, 16]),
+    )
+    def test_same_as_per_pair_extraction(self, kind, attach, mode, seed, d, b, lopsided, n):
+        entries = _banded(seed, d, b, kind == "complex", lopsided)
+        if kind == "zero-imag":
+            entries = entries.astype(complex)
+        bounds = None
+        if attach:
+            lam = np.linalg.eigvalsh(entries)
+            bounds = SpectralBounds(float(lam[0]), float(lam[-1]), exact=True)
+        A = HermitianMatrix(entries, bounds=bounds)
+
+        # the Gershgorin interval is the row-sum formula on the complex input
+        a = np.asarray(entries, dtype=complex)
+        centers = np.real(np.diag(a))
+        radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+        g = gershgorin_bounds(A)
+        assert g.lo.hex() == float(np.min(centers - radii)).hex()
+        assert g.hi.hex() == float(np.max(centers + radii)).hex()
+
+        real = not np.any(np.imag(entries))  # "complex" draws are real when b = 0
+        assert A.is_real() == (A.entries.dtype == np.float64) == real
+        assert A.entries.dtype in (np.float64, np.complex128)
+
+        rng = np.random.default_rng(seed + 1)
+        v = None
+        if mode == MODE_ACTION:
+            v = rng.standard_normal(d)
+            if kind == "complex":
+                v = v + 1j * rng.standard_normal(d)
+        opts = ExpOptions(n=n, mode=mode, threads=1)
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OrderTooSmallWarning)
+                return matexp_action(A, v, opts) if v is not None else matexp_full(A, opts)
+
+        res = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BandLU", _PerPairBandLU)
+            ref = run()
+        assert res.value.dtype == ref.value.dtype
+        assert res.value.tobytes() == ref.value.tobytes()
+        assert (res.error_bound, res.rounding_bound) == (ref.error_bound, ref.rounding_bound)
+        assert res.bandwidth == ref.bandwidth

@@ -89,6 +89,44 @@ class TestHermitianMatrix:
         assert L.HermitianMatrix(a).bandwidth == (4, 1)
         assert L.HermitianMatrix(a.T.copy()).bandwidth == (1, 4)
 
+    def test_input_is_copied(self):
+        # a caller's complex view must neither be frozen nor reach the
+        # validated matrix, its bandwidth, its Gershgorin interval or its band
+        base = np.zeros((5, 5), dtype=complex)
+        a = base[:4, :4]
+        a[...] = -2.0 * np.eye(4)
+        a[np.arange(3), np.arange(1, 4)] = 1j
+        a[np.arange(1, 4), np.arange(3)] = -1j
+        A = L.HermitianMatrix(a)
+        want = A.entries.copy()
+        assert A.entries is not a and a.flags.writeable
+        base[0, 3] = base[3, 0] = 5.0
+        assert np.array_equal(A.entries, want)
+        assert A.bandwidth == (1, 1)
+        assert (L.gershgorin_bounds(A).lo, L.gershgorin_bounds(A).hi) == (-4.0, 0.0)
+        x = L.shifted_solve(A, 1j, np.ones(4))
+        assert np.allclose((want + 1j * np.eye(4)) @ x, np.ones(4), rtol=0.0, atol=1e-14)
+
+    def test_real_input_is_stored_real(self):
+        assert lap1d(5).entries.dtype == np.float64
+        zero_imag = L.HermitianMatrix(lap1d(5).entries.astype(complex))
+        assert zero_imag.is_real() and zero_imag.entries.dtype == np.float64
+        assert L.HermitianMatrix(np.eye(3, dtype=int)).entries.dtype == np.float64
+        assert random_hermitian(np.random.default_rng(1), 4).entries.dtype == np.complex128
+
+    def test_band_stored_whenever_it_can_pay(self):
+        # the band storage is kept iff the band LU pays for one right-hand
+        # side; no other right-hand-side count can then choose the band path
+        kl = np.arange(0, 120)[:, None, None]
+        ku = np.arange(0, 120)[None, :, None]
+        nrhs = np.array([1, 2, 3, 10, 120, 10**6])[None, None, :]
+        for d in range(1, 121):
+            inside = (kl < d) & (ku < d)
+            some = L._band_pays(d, kl, ku, nrhs) & inside
+            assert np.all(L._band_pays(d, kl, ku, 1) | ~some)
+        assert lap1d(40)._band is not None
+        assert random_hermitian(np.random.default_rng(2), 40)._band is None
+
 
 class TestShiftedSolve:
     def test_scalar_division(self):
@@ -244,6 +282,11 @@ class TestEigHermitian:
 
 
 class TestExpOracle:
+    def test_real_input_runs_a_real_eigh(self):
+        _, U = L.eig_hermitian(lap1d(30))
+        assert U.dtype == np.float64
+        assert L.exp_oracle(lap1d(30)).dtype == np.float64
+
     def test_zero_matrix(self):
         E = L.exp_oracle(L.HermitianMatrix(np.zeros((3, 3))))
         assert np.allclose(E, np.eye(3), rtol=0.0, atol=1e-15)
