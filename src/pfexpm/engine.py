@@ -16,11 +16,13 @@ compares the band and dense flop counts, weighting band flops 2x (factor)
 and 4x (solves) for their lower speed.  ExpResult.bandwidth reports which
 path ran.
 
-Dense tasks run on a thread pool; band tasks run one after another in the
-calling thread, because scipy's gbtrf/gbtrs wrappers hold the GIL, so pool
-threads could not overlap them and would only add contention and
-call-to-call jitter.  Tasks deposit into pre-assigned slots, and a single
-sequential ascending-index pass reduces the slots.  Results are therefore
+Dense tasks run on a thread pool, deposit into pre-assigned slots, and a
+single sequential ascending-index pass reduces the slots.  Band pairs run one
+after another in the calling thread, because scipy's gbtrf/gbtrs wrappers
+hold the GIL, so pool threads could not overlap them and would only add
+contention and call-to-call jitter; each solves against a right-hand side
+that already carries its residue, and its pair term is added to the sum in
+place, in ascending order, with no slots.  Results are therefore
 bit-identical for every thread count; t_para reports max over per-task wall
 times as run (workers and BLAS threads share the CPUs, so each task time
 includes contention), t_total the actual wall time.
@@ -256,9 +258,23 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
          s_k = ||Y_k - X_k R|| / ||R|| <= eta_k / (beta_k (beta_k - eta_k)),
        which is kappa_k gt g / beta_k to first order, kappa_k <=
        (rho + |theta_k|)/beta_k; and ||Y_k|| <= y_k ||R||, y_k = 1/beta_k + s_k.
-    3. Pair terms and the reduction.  Each entry of a Y + (a Y)^H or
-       2 Re(a Y) carries relative error eps_f = sqrt(2) gamma_2 + u (1 +
-       sqrt(2) gamma_2), and the ascending sum of the n/2 pair terms carries
+    3. Residues, pair terms and the reduction.  The dense path forms
+       a Y + (a Y)^H or 2 Re(a Y) after the solve; each entry carries
+       relative error eps_f = sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2), the
+       complex product and then one addition.  The band path folds the
+       residue into the right-hand side, R' = fl(a' R) with a' = 2 a_k for
+       real input and a' = a_k (and conj(a_k) for the adjoint solve)
+       otherwise, and forms Re Y (exact) or Y + Y^H (one addition).  In full
+       mode R = I and fl(a' 1) = a' is exact.  In action mode R' has
+       entrywise error at most sqrt(2) gamma_2 |a'| |v_i|; carried through
+       ||X_k|| <= 1/beta_k, and with the solve error s_k ||R'|| <= s_k (1 +
+       sqrt(2) gamma_2) |a'| ||v||, the solution is within |a'| ||v|| (s_k +
+       sqrt(2) gamma_2 y_k) of a' X_k v.  The terms s_k and eps_f width y_k
+       below cover that, and u (1 + sqrt(2) gamma_2), the rest of eps_f,
+       covers the addition; the multiplication after the solve that eps_f
+       pays for on the dense path does not happen.  On both paths each pair
+       term is formed once, has norm at most 2|a_k| (1 + eps_f) y_k ||R||,
+       and is added once, so the ascending sum of the n/2 pair terms carries
        gamma_{n/2 - 1} per entry.  Entrywise errors reach the 2-norm through
        the Frobenius norm, at a factor width.
 
@@ -291,11 +307,17 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
 def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
     """Shared task fabric: n/2 solves with A + (theta_k - c) I, ordered reduction.
 
+    On the band path the pairs run in the calling thread (_band_sum) and each
+    pair term is added to the sum in place, in ascending pair order.  Dense
+    pairs run on the pool, deposit their terms into pre-assigned slots, and
+    one ascending pass reduces the slots.  Either way the sum is the same
+    ascending sum for every thread count.
+
     Returns (sum, per-task times, wall time, A.bandwidth or None for dense).
     """
     table = default_table(opts.n)
-    poles = table.thetas_f8() - c
-    coeffs = table.coeffs_f8()
+    poles = table.thetas_f8()[::2] - c
+    coeffs = table.coeffs_f8()[::2]
     d = A.d
     action = v is not None
     real_path = A.is_real() and (not action or bool(np.isrealobj(v)))
@@ -307,48 +329,39 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
             raise BadSpec("v has non-finite entries")
 
     nrhs = (1 if real_path else 2) if action else d
-    banded = _band_path(A, nrhs)
-    slots = [None] * (opts.n // 2)
-    times = [0.0] * (opts.n // 2)
+    if _band_path(A, nrhs):
+        t_start = time.perf_counter()
+        acc, times = _band_sum(A, v, poles, coeffs, real_path)
+        return acc, times, time.perf_counter() - t_start, A.bandwidth
+
+    slots = [None] * len(poles)
+    times = [0.0] * len(poles)
 
     def task(slot: int) -> None:
         t0 = time.perf_counter()
-        a = coeffs[2 * slot]
-        if banded:
-            lu = _BandLU(A, poles[2 * slot])
-            if action:
-                aY = a * lu.solve(v.copy())
-                if real_path:
-                    out = 2.0 * aY.real
-                else:
-                    out = aY + np.conj(a) * lu.solve(v.copy(), trans=2)
+        a = coeffs[slot]
+        M = A.entries + poles[slot] * np.eye(d)
+        if action:
+            if real_path:
+                y = np.linalg.solve(M, v)
+                out = 2.0 * (a * y).real
             else:
-                aX = a * lu.solve(np.eye(d, dtype=complex, order="F"))
-                out = 2.0 * aX.real if real_path else aX + aX.conj().T
+                lu = scipy.linalg.lu_factor(M, check_finite=False)
+                y = scipy.linalg.lu_solve(lu, v, trans=0, check_finite=False)
+                yc = scipy.linalg.lu_solve(lu, v, trans=2, check_finite=False)
+                out = a * y + np.conj(a) * yc
         else:
-            M = A.entries + poles[2 * slot] * np.eye(d)
-            if action:
-                if real_path:
-                    y = np.linalg.solve(M, v)
-                    out = 2.0 * (a * y).real
-                else:
-                    lu = scipy.linalg.lu_factor(M, check_finite=False)
-                    y = scipy.linalg.lu_solve(lu, v, trans=0, check_finite=False)
-                    yc = scipy.linalg.lu_solve(lu, v, trans=2, check_finite=False)
-                    out = a * y + np.conj(a) * yc
+            X = np.linalg.solve(M, np.eye(d, dtype=complex))
+            if real_path:
+                out = 2.0 * (a * X).real
             else:
-                X = np.linalg.solve(M, np.eye(d, dtype=complex))
-                if real_path:
-                    out = 2.0 * (a * X).real
-                else:
-                    aX = a * X
-                    out = aX + aX.conj().T
+                aX = a * X
+                out = aX + aX.conj().T
         slots[slot] = out
         times[slot] = time.perf_counter() - t0
 
     t_start = time.perf_counter()
-    # the band wrappers hold the GIL: a pool cannot overlap band tasks
-    workers = 1 if banded else opts.worker_count(len(slots))
+    workers = opts.worker_count(len(slots))
     if workers == 1:
         for i in range(len(slots)):
             task(i)
@@ -360,7 +373,48 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
     for i in range(1, len(slots)):
         acc = acc + slots[i]
     t_total = time.perf_counter() - t_start
-    return acc, tuple(times), t_total, A.bandwidth if banded else None
+    return acc, tuple(times), t_total, None
+
+
+def _band_sum(A: HermitianMatrix, v, poles, coeffs, real_path: bool):
+    """Sum of the pair terms and per-pair times on the band path, in the calling thread.
+
+    Each pair factors A + pole I in band storage (_BandLU) and solves against a
+    right-hand side that already carries its residue: in full mode one
+    Fortran-ordered complex d x d work array, refilled with 2 a_k I (real
+    input) or a_k I and overwritten by gbtrs; in action mode (2 a_k) v, or
+    a_k v and conj(a_k) v with the adjoint solve.  Its pair term, Re Y or
+    Y + Y^H (the latter formed in a second buffer), is then added to the sum
+    once, in ascending pair order.  The time of a pair covers its factor,
+    solve and pair term, not the addition.
+    """
+    d = A.d
+    times = [0.0] * len(poles)
+    if v is None:
+        work = np.empty((d, d), dtype=complex, order="F")
+        pair = None if real_path else np.empty_like(work)
+    acc = None
+    for k, (pole, a) in enumerate(zip(poles, coeffs)):
+        t0 = time.perf_counter()
+        lu = _BandLU(A, pole)
+        if v is None:
+            work.fill(0.0)
+            np.fill_diagonal(work, 2.0 * a if real_path else a)
+            Y = lu.solve(work)
+            if real_path:
+                term = Y.real
+            else:
+                term = np.add(Y, np.conjugate(Y.T, out=pair), out=pair)
+        elif real_path:
+            term = lu.solve((2.0 * a) * v).real
+        else:
+            term = lu.solve(a * v) + lu.solve(np.conj(a) * v, trans=2)
+        times[k] = time.perf_counter() - t0
+        if acc is None:
+            acc = term.copy(order="K")
+        else:
+            acc += term
+    return acc, tuple(times)
 
 
 def _alpha_lower(A: HermitianMatrix) -> float:

@@ -2,6 +2,7 @@
 bounds, shift method, thread-count determinism, and spectral properties."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -848,6 +849,30 @@ class TestBandedPath:
             norm_m = float(np.max(np.abs(lam + theta)))  # M is normal
             allowed = 0.02 * SOLVE_GROWTH * math.sqrt(2.0) * gamma * norm_m
             assert resid <= allowed * np.linalg.norm(X, 2)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_full_mode_memory_per_call(self, complex_):
+        """A band-path matexp_full holds one d x d complex work array, the sum
+        and, for complex input, one pair-term buffer: no identity, slot or
+        scaled copy per pole pair."""
+        d = 300
+        entries = lap1d(d).entries.astype(complex if complex_ else float)
+        if complex_:  # a small skew-Hermitian imaginary band
+            idx = np.arange(d - 1)
+            entries[idx, idx + 1] += 0.05j
+            entries[idx + 1, idx] -= 0.05j
+            entries[idx, idx] -= 0.1  # keeps the Gershgorin interval <= 0
+        A = HermitianMatrix(entries)
+        opts = ExpOptions(n=16)
+        matexp_full(A, opts)  # root table and LAPACK wrappers warmed up
+        tracemalloc.start()
+        try:
+            res = matexp_full(A, opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.bandwidth == (1, 1)
+        assert peak < (4 if complex_ else 2) * 16 * d * d
 
 
 class _CountingNumpy:
