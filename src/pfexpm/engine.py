@@ -6,26 +6,24 @@ work: only one member of each root pair is factored, and the pair's
 contribution is reconstituted as M + M^H (elementwise 2 Re(a M) in the
 all-real case), so there are n/2 tasks.
 
-Each task factors its own shifted matrix.  When A is narrow-banded, it
+Each task factors its own shifted matrix with the solver that
+linalg._band_path picks once per call.  When A is narrow-banded, _BandLU
 copies the LAPACK band storage that A built once at construction, adds its
-pole to the diagonal row and factors it with gbtrf (linalg._BandLU);
-otherwise it runs a dense complex LU on A.entries + pole I.  The choice is fixed
-per call by linalg._band_pays from d, A's bandwidth (kl, ku) and the number
-of right-hand sides per pair (d in full mode, 1 or 2 in action mode): it
-compares the band and dense flop counts, weighting band flops 2x (factor)
-and 4x (solves) for their lower speed.  ExpResult.bandwidth reports which
-path ran.
+pole to the diagonal row and factors it with gbtrf; otherwise _DenseLU copies
+A.entries as complex, adds its pole to the diagonal and factors it with getrf.
+The rule (linalg._band_pays) compares the band and dense flop counts for d,
+A's bandwidth (kl, ku) and the number of right-hand sides per pair (d in full
+mode, 1 or 2 in action mode), weighting band flops 2x (factor) and 4x
+(solves) for their lower speed.  ExpResult.bandwidth reports which path ran.
 
-Dense tasks run on a thread pool, deposit into pre-assigned slots, and a
-single sequential ascending-index pass reduces the slots.  Band pairs run one
-after another in the calling thread, because scipy's gbtrf/gbtrs wrappers
-hold the GIL, so pool threads could not overlap them and would only add
-contention and call-to-call jitter; each solves against a right-hand side
-that already carries its residue, and its pair term is added to the sum in
-place, in ascending order, with no slots.  Results are therefore
-bit-identical for every thread count; t_para reports max over per-task wall
-times as run (workers and BLAS threads share the CPUs, so each task time
-includes contention), t_total the actual wall time.
+Every pair solves against a right-hand side that already carries its residue,
+and the calling thread adds its pair term to the sum in place, in ascending
+order.  Dense pairs run on a thread pool when more than one worker is asked
+for; band pairs run in the calling thread, because scipy's gbtrf/gbtrs
+wrappers hold the GIL.  Results are therefore bit-identical for every thread
+count; t_para reports max over per-task wall times as run (workers and BLAS
+threads share the CPUs, so each task time includes contention), t_total the
+actual wall time.
 
 The reported error has two parts, both a priori and O(n) scalar work:
 error_bound is the truncation term, a bound on ||exp(A) - R_n(A)||_2 in exact
@@ -54,10 +52,10 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadSpec,
@@ -66,7 +64,7 @@ from .errors import (
     OrderTooSmallWarning,
     Overflow,
 )
-from .linalg import HermitianMatrix, SpectralBounds, _band_path, _BandLU, gershgorin_bounds
+from .linalg import HermitianMatrix, SpectralBounds, _band_path, _BandLU, _DenseLU, gershgorin_bounds
 from .roots import check_order, default_table
 from .scalar import approx_error
 
@@ -258,22 +256,17 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
          s_k = ||Y_k - X_k R|| / ||R|| <= eta_k / (beta_k (beta_k - eta_k)),
        which is kappa_k gt g / beta_k to first order, kappa_k <=
        (rho + |theta_k|)/beta_k; and ||Y_k|| <= y_k ||R||, y_k = 1/beta_k + s_k.
-    3. Residues, pair terms and the reduction.  The dense path forms
-       a Y + (a Y)^H or 2 Re(a Y) after the solve; each entry carries
-       relative error eps_f = sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2), the
-       complex product and then one addition.  The band path folds the
-       residue into the right-hand side, R' = fl(a' R) with a' = 2 a_k for
-       real input and a' = a_k (and conj(a_k) for the adjoint solve)
-       otherwise, and forms Re Y (exact) or Y + Y^H (one addition).  In full
-       mode R = I and fl(a' 1) = a' is exact.  In action mode R' has
-       entrywise error at most sqrt(2) gamma_2 |a'| |v_i|; carried through
-       ||X_k|| <= 1/beta_k, and with the solve error s_k ||R'|| <= s_k (1 +
-       sqrt(2) gamma_2) |a'| ||v||, the solution is within |a'| ||v|| (s_k +
-       sqrt(2) gamma_2 y_k) of a' X_k v.  The terms s_k and eps_f width y_k
-       below cover that, and u (1 + sqrt(2) gamma_2), the rest of eps_f,
-       covers the addition; the multiplication after the solve that eps_f
-       pays for on the dense path does not happen.  On both paths each pair
-       term is formed once, has norm at most 2|a_k| (1 + eps_f) y_k ||R||,
+    3. Residues, pair terms and the reduction.  Each pair folds the residue
+       into the right-hand side, R' = fl(a' R) with a' = 2 a_k for real input
+       and a' = a_k (and conj(a_k) for the adjoint solve) otherwise, and
+       forms Re Y (exact) or Y + Y^H (one addition).  In full mode R = I and
+       fl(a' 1) = a' is exact.  In action mode R' has entrywise error at most
+       sqrt(2) gamma_2 |a'| |v_i|; carried through ||X_k|| <= 1/beta_k, and
+       with the solve error s_k ||R'|| <= s_k (1 + sqrt(2) gamma_2) |a'| ||v||,
+       the solution is within |a'| ||v|| (s_k + sqrt(2) gamma_2 y_k) of
+       a' X_k v.  With eps_f = sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2), the
+       terms s_k and eps_f width y_k below cover that and the addition.  Each
+       pair term is formed once, has norm at most 2|a_k| (1 + eps_f) y_k ||R||,
        and is added once, so the ascending sum of the n/2 pair terms carries
        gamma_{n/2 - 1} per entry.  Entrywise errors reach the 2-norm through
        the Frobenius norm, at a factor width.
@@ -307,11 +300,15 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
 def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
     """Shared task fabric: n/2 solves with A + (theta_k - c) I, ordered reduction.
 
-    On the band path the pairs run in the calling thread (_band_sum) and each
-    pair term is added to the sum in place, in ascending pair order.  Dense
-    pairs run on the pool, deposit their terms into pre-assigned slots, and
-    one ascending pass reduces the slots.  Either way the sum is the same
-    ascending sum for every thread count.
+    One body, pair(k), runs every pole pair with the solver that _band_path
+    picks once per call.  It solves against a right-hand side that already
+    carries the residue (2 a_k I or a_k I in full mode; (2 a_k) v, or a_k v
+    and conj(a_k) v with the adjoint solve) and returns Re Y or Y + Y^H.  The
+    calling thread adds the pair terms in place, in ascending order, from map
+    when serial and from pool.map otherwise, so the sum is the same for every
+    thread count.  A serial full-mode run reuses one work array, plus one
+    pair-term buffer for complex input.  A pair's time covers its factor,
+    solve and pair term, not the addition.
 
     Returns (sum, per-task times, wall time, A.bandwidth or None for dense).
     """
@@ -328,93 +325,44 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
         if not np.all(np.isfinite(v)):
             raise BadSpec("v has non-finite entries")
 
-    nrhs = (1 if real_path else 2) if action else d
-    if _band_path(A, nrhs):
-        t_start = time.perf_counter()
-        acc, times = _band_sum(A, v, poles, coeffs, real_path)
-        return acc, times, time.perf_counter() - t_start, A.bandwidth
-
-    slots = [None] * len(poles)
+    band = _band_path(A, (1 if real_path else 2) if action else d)
+    solver = _BandLU if band else _DenseLU
+    # scipy's gbtrf/gbtrs wrappers hold the GIL: band pairs gain nothing from a pool
+    workers = 1 if band else opts.worker_count(len(poles))
+    work = pair_buf = None
+    if workers == 1 and not action:
+        work = np.empty((d, d), dtype=complex, order="F")
+        pair_buf = None if real_path else np.empty_like(work)
     times = [0.0] * len(poles)
 
-    def task(slot: int) -> None:
+    def pair(k: int) -> np.ndarray:
         t0 = time.perf_counter()
-        a = coeffs[slot]
-        M = A.entries + poles[slot] * np.eye(d)
+        a = coeffs[k]
+        lu = solver(A, poles[k])
         if action:
             if real_path:
-                y = np.linalg.solve(M, v)
-                out = 2.0 * (a * y).real
+                term = lu.solve((2.0 * a) * v).real
             else:
-                lu = scipy.linalg.lu_factor(M, check_finite=False)
-                y = scipy.linalg.lu_solve(lu, v, trans=0, check_finite=False)
-                yc = scipy.linalg.lu_solve(lu, v, trans=2, check_finite=False)
-                out = a * y + np.conj(a) * yc
+                term = lu.solve(a * v) + lu.solve(np.conj(a) * v, trans=2)
         else:
-            X = np.linalg.solve(M, np.eye(d, dtype=complex))
-            if real_path:
-                out = 2.0 * (a * X).real
-            else:
-                aX = a * X
-                out = aX + aX.conj().T
-        slots[slot] = out
-        times[slot] = time.perf_counter() - t0
-
-    t_start = time.perf_counter()
-    workers = opts.worker_count(len(slots))
-    if workers == 1:
-        for i in range(len(slots)):
-            task(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(len(slots))))
-    # sequential ascending-index reduction: bit-determinism across thread counts
-    acc = slots[0]
-    for i in range(1, len(slots)):
-        acc = acc + slots[i]
-    t_total = time.perf_counter() - t_start
-    return acc, tuple(times), t_total, None
-
-
-def _band_sum(A: HermitianMatrix, v, poles, coeffs, real_path: bool):
-    """Sum of the pair terms and per-pair times on the band path, in the calling thread.
-
-    Each pair factors A + pole I in band storage (_BandLU) and solves against a
-    right-hand side that already carries its residue: in full mode one
-    Fortran-ordered complex d x d work array, refilled with 2 a_k I (real
-    input) or a_k I and overwritten by gbtrs; in action mode (2 a_k) v, or
-    a_k v and conj(a_k) v with the adjoint solve.  Its pair term, Re Y or
-    Y + Y^H (the latter formed in a second buffer), is then added to the sum
-    once, in ascending pair order.  The time of a pair covers its factor,
-    solve and pair term, not the addition.
-    """
-    d = A.d
-    times = [0.0] * len(poles)
-    if v is None:
-        work = np.empty((d, d), dtype=complex, order="F")
-        pair = None if real_path else np.empty_like(work)
-    acc = None
-    for k, (pole, a) in enumerate(zip(poles, coeffs)):
-        t0 = time.perf_counter()
-        lu = _BandLU(A, pole)
-        if v is None:
-            work.fill(0.0)
-            np.fill_diagonal(work, 2.0 * a if real_path else a)
-            Y = lu.solve(work)
+            R = work if work is not None else np.empty((d, d), dtype=complex, order="F")
+            R.fill(0.0)
+            np.fill_diagonal(R, 2.0 * a if real_path else a)
+            Y = lu.solve(R)
             if real_path:
                 term = Y.real
             else:
-                term = np.add(Y, np.conjugate(Y.T, out=pair), out=pair)
-        elif real_path:
-            term = lu.solve((2.0 * a) * v).real
-        else:
-            term = lu.solve(a * v) + lu.solve(np.conj(a) * v, trans=2)
+                term = np.add(Y, np.conjugate(Y.T, out=pair_buf), out=pair_buf)
         times[k] = time.perf_counter() - t0
-        if acc is None:
-            acc = term.copy(order="K")
-        else:
+        return term
+
+    t_start = time.perf_counter()
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        terms = (pool.map if pool else map)(pair, range(len(poles)))
+        acc = next(terms).copy(order="K")
+        for term in terms:
             acc += term
-    return acc, tuple(times)
+    return acc, tuple(times), time.perf_counter() - t_start, A.bandwidth if band else None
 
 
 def _alpha_lower(A: HermitianMatrix) -> float:

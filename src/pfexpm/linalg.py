@@ -15,10 +15,10 @@ construction, from its own copy of the input:
   - the Gershgorin interval, from the |a_ij| array that validation builds;
   - when A is narrow enough for the band LU to pay, A's band in LAPACK band
     storage, a read-only complex (2 kl + ku + 1) x d array.
-A shifted solve factors A + theta I in band storage (gbtrf/gbtrs) instead of
-densely whenever _band_pays(d, kl, ku, nrhs) says the band LU is the cheaper
-of the two by flop count; it copies the stored band and adds theta to the
-diagonal row, so the band is extracted from A once per matrix.
+A shifted solve factors A + theta I in band storage (_BandLU: gbtrf/gbtrs)
+whenever _band_pays(d, kl, ku, nrhs) says the band LU is the cheaper of the
+two by flop count, and densely (_DenseLU: getrf/getrs) otherwise.  The two
+solvers share one interface, so every caller runs the same solve code.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgetrf, zgetrs
 
 from .errors import BadSpec, ConvergenceFailure, InvariantViolation, SingularSystem
 
@@ -216,8 +216,7 @@ class _BandLU:
         ab = A._band.copy(order="F")
         ab[kl + ku] += pole
         lu, piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
-        if info > 0:
-            raise SingularSystem(f"band LU at pole {pole!r}: U[{info - 1}, {info - 1}] = 0")
+        _check_info("zgbtrf", info, pole)
         self._lu, self._piv, self._kl, self._ku = lu, piv, kl, ku
 
     def solve(self, R: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -225,30 +224,70 @@ class _BandLU:
 
         R is overwritten when it is a Fortran-ordered complex array.
         """
-        x, _ = zgbtrs(self._lu, self._kl, self._ku, R, self._piv, trans=trans, overwrite_b=True)
+        x, info = zgbtrs(self._lu, self._kl, self._ku, R, self._piv, trans=trans, overwrite_b=True)
+        _check_info("zgbtrs", info)
         return x
+
+
+class _DenseLU:
+    """Partial-pivoted LU of A + pole I in dense storage (zgetrf).
+
+    The interface of _BandLU: copies A.entries as a Fortran-ordered complex
+    array, adds the pole to its diagonal and factors it in place; solve()
+    then runs zgetrs.
+    """
+
+    def __init__(self, A: HermitianMatrix, pole: complex):
+        m = np.array(A.entries, dtype=complex, order="F")
+        m[np.diag_indices(A.d)] += pole
+        lu, piv, info = zgetrf(m, overwrite_a=True)
+        _check_info("zgetrf", info, pole)
+        self._lu, self._piv = lu, piv
+
+    def solve(self, R: np.ndarray, trans: int = 0) -> np.ndarray:
+        """X with M X = R (trans=0) or M^H X = R (trans=2).
+
+        R is overwritten when it is a Fortran-ordered complex array.
+        """
+        x, info = zgetrs(self._lu, self._piv, R, trans=trans, overwrite_b=True)
+        _check_info("zgetrs", info)
+        return x
+
+
+def _check_info(routine: str, info: int, pole: complex | None = None) -> None:
+    """Raise on a LAPACK info code: an illegal argument, or a zero pivot of U."""
+    if info < 0:
+        raise InvariantViolation("lapack-argument", f"{routine} argument {-info} is illegal")
+    if info > 0:
+        raise SingularSystem(f"{routine} at pole {pole!r}: U[{info - 1}, {info - 1}] = 0")
+
+
+def _factor(A: HermitianMatrix, theta: complex, nrhs: int):
+    """The LU of A + theta I, in band storage when _band_path says it pays for nrhs."""
+    return (_BandLU if _band_path(A, nrhs) else _DenseLU)(A, theta)
 
 
 def shifted_solve(A: HermitianMatrix, theta: complex, V: np.ndarray) -> np.ndarray:
     """Solve (A + theta I) y = v for one or more right-hand sides.
 
+    V has shape (d,) or (d, k) and finite entries; it is not modified.
     Partial-pivoted LU on the complex shifted matrix, in band storage when
     _band_pays.  The system is nonsingular whenever Im(theta) != 0, since A
     has a real spectrum.
     """
-    V = np.asarray(V, dtype=complex)
-    if _band_path(A, 1 if V.ndim == 1 else V.shape[1]):
-        return _BandLU(A, theta).solve(V.copy(order="F"))
-    M = A.entries + np.asarray(theta, dtype=complex) * np.eye(A.d)
-    try:
-        return np.linalg.solve(M, V)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"shifted solve at theta = {theta!r}: {exc}") from exc
+    R = np.array(V, dtype=complex, order="F")
+    if R.ndim not in (1, 2) or R.shape[0] != A.d:
+        raise BadSpec(f"V must have shape ({A.d},) or ({A.d}, k), got {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise BadSpec("V has non-finite entries")
+    return _factor(A, theta, 1 if R.ndim == 1 else R.shape[1]).solve(R)
 
 
 def shifted_inverse(A: HermitianMatrix, theta: complex) -> np.ndarray:
-    """(A + theta I)^{-1} as a dense matrix (identity right-hand sides)."""
-    return shifted_solve(A, theta, np.eye(A.d, dtype=complex))
+    """(A + theta I)^{-1} as a dense matrix, solved in place over one identity."""
+    R = np.zeros((A.d, A.d), dtype=complex, order="F")
+    np.fill_diagonal(R, 1.0)
+    return _factor(A, theta, A.d).solve(R)
 
 
 def eig_hermitian(A: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:

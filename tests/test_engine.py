@@ -862,17 +862,32 @@ class TestBandedPath:
             entries[idx, idx + 1] += 0.05j
             entries[idx + 1, idx] -= 0.05j
             entries[idx, idx] -= 0.1  # keeps the Gershgorin interval <= 0
-        A = HermitianMatrix(entries)
-        opts = ExpOptions(n=16)
-        matexp_full(A, opts)  # root table and LAPACK wrappers warmed up
-        tracemalloc.start()
-        try:
-            res = matexp_full(A, opts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = _full_mode_peak(HermitianMatrix(entries), ExpOptions(n=16))
         assert res.bandwidth == (1, 1)
         assert peak < (4 if complex_ else 2) * 16 * d * d
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_dense_full_mode_memory_per_call(self, complex_):
+        """A serial dense-path matexp_full also holds the complex shifted copy
+        of A that the LU overwrites, and no slot per pole pair."""
+        d = 300
+        entries, lam = _hermitian(5, d, complex_, -2.0, 0.0)
+        A = HermitianMatrix(entries, bounds=SpectralBounds(lam.min(), lam.max(), exact=True))
+        res, peak = _full_mode_peak(A, ExpOptions(n=16, threads=1))
+        assert res.bandwidth is None
+        assert peak < (5 if complex_ else 3) * 16 * d * d
+
+
+def _full_mode_peak(A, opts):
+    """matexp_full's result and its peak traced allocation, after a warm-up call."""
+    matexp_full(A, opts)  # root table and LAPACK wrappers warmed up
+    tracemalloc.start()
+    try:
+        res = matexp_full(A, opts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return res, peak
 
 
 class _CountingNumpy:

@@ -7,7 +7,7 @@ import pytest
 
 from pfexpm import linalg as L
 from pfexpm import roots as R
-from pfexpm.errors import InvariantViolation, SingularSystem
+from pfexpm.errors import BadSpec, InvariantViolation, SingularSystem
 
 
 def lap1d(d):
@@ -221,10 +221,27 @@ class TestShiftedSolve:
         assert np.allclose(lu.solve(V[:, 0].copy(), trans=2), want_h, rtol=0.0, atol=1e-14)
 
     def test_band_solve_leaves_the_right_hand_side(self):
-        A = lap1d(40)
-        V = np.asfortranarray(np.ones((40, 2), dtype=complex))
-        L.shifted_solve(A, 1j, V)
-        assert np.array_equal(V, np.ones((40, 2)))
+        # both solvers overwrite the array they solve, so shifted_solve must copy V
+        for A in (lap1d(40), random_hermitian(np.random.default_rng(3), 40)):
+            V = np.asfortranarray(np.ones((40, 2), dtype=complex))
+            L.shifted_solve(A, 1j, V)
+            assert np.array_equal(V, np.ones((40, 2)))
+
+    @pytest.mark.parametrize("banded", [True, False], ids=["band", "dense"])
+    def test_bad_right_hand_side_rejected(self, banded):
+        d = 40
+        A = lap1d(d) if banded else random_hermitian(np.random.default_rng(3), d)
+        assert L._band_path(A, 1) == banded
+        nan, inf = np.ones(d), np.ones((d, 2))
+        nan[3], inf[0, 1] = np.nan, np.inf
+        for V in (np.ones(d - 1), np.ones((d + 1, 2)), np.ones((d, 2, 1)), np.ones(()), nan, inf):
+            with pytest.raises(BadSpec):
+                L.shifted_solve(A, 1j, V)
+
+    def test_illegal_lapack_argument_raises(self):
+        lu = L._BandLU(lap1d(40), 1j)
+        with pytest.raises(InvariantViolation, match="zgbtrs argument"):
+            lu.solve(np.ones(39, dtype=complex))
 
     def test_singular_band_system(self):
         A = L.HermitianMatrix(np.zeros((20, 20)))
