@@ -48,14 +48,16 @@ import numpy as np
 from .engine import (
     MODE_ACTION,
     MODE_FULL,
-    POSITIVE_FUZZ,
     ExpOptions,
+    _reaches_positive,
+    _spectral_interval,
     matexp_action,
     matexp_full,
 )
 from .errors import BadSpec, ParseError
-from .linalg import HermitianMatrix, SpectralBounds, exp_oracle, gershgorin_bounds, norm2
-from .scalar import bound_m1, bound_m2, eval_pf, eval_reciprocal, partial_fraction
+from .linalg import HermitianMatrix, SpectralBounds, exp_oracle, norm2
+from .roots import default_table
+from .scalar import bound_m1, bound_m2, eval_pf, eval_reciprocal
 
 __all__ = [
     "CSV_HEADER",
@@ -190,11 +192,6 @@ def _unit_vector(spec: MatrixSpec, trial: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _spectrum_reaches_positive(A: HermitianMatrix) -> bool:
-    bounds = A.bounds if A.bounds is not None else gershgorin_bounds(A)
-    return bounds.hi > POSITIVE_FUZZ * max(1.0, abs(bounds.lo))
-
-
 def _median_timed(fn, repeats: int):
     """(last result, median duration in ms) over `repeats` runs, one warm-up."""
     fn()  # warm-up, discarded
@@ -244,7 +241,7 @@ def _run_one(
         err = norm2(res.value - want)
         scale = norm2(want)
 
-    if _spectrum_reaches_positive(A):
+    if _reaches_positive(_spectral_interval(A)):
         kind = ERROR_RELATIVE
         err = err / scale
     else:
@@ -320,8 +317,7 @@ def run_scalar_suite(n_list, x_grid, D: int = 16) -> list[ScalarRow]:
     true = np.exp(x)
     rows = []
     for n in n_list:
-        pf = partial_fraction(n)
-        via_pf = eval_pf(pf, x)
+        via_pf = eval_pf(default_table(n), x)
         via_rec = eval_reciprocal(n, x)
         rows.append(
             ScalarRow(

@@ -190,13 +190,19 @@ def apriori_bound(bounds: SpectralBounds, n: int) -> float:
     return approx_error(n, -rho)
 
 
-def _positive_fuzz(bounds: SpectralBounds) -> float:
-    return POSITIVE_FUZZ * max(1.0, abs(bounds.lo))
+def _spectral_interval(A: HermitianMatrix) -> SpectralBounds:
+    """The interval the engine works with: A's attached bounds, else Gershgorin."""
+    return A.bounds if A.bounds is not None else gershgorin_bounds(A)
+
+
+def _reaches_positive(bounds: SpectralBounds) -> bool:
+    """Whether hi lies above 0 by more than POSITIVE_FUZZ * max(1, |lo|)."""
+    return bounds.hi > POSITIVE_FUZZ * max(1.0, abs(bounds.lo))
 
 
 def _interval_bound(bounds: SpectralBounds, n: int, stacklevel: int):
     """Absolute bound on max |exp - R_n| over [lo, hi], or None + warning."""
-    if bounds.hi > _positive_fuzz(bounds):
+    if _reaches_positive(bounds):
         warnings.warn(
             f"spectral upper estimate {bounds.hi:.3e} > 0: no certified bound "
             "(use the shift method for nonnegative spectra)",
@@ -386,9 +392,9 @@ def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
     are relative to e^alpha(A) when shifted and per unit ||v||_2 in action
     mode; their sum bounds the error of the value returned.
     """
-    bounds = A.bounds if A.bounds is not None else gershgorin_bounds(A)
+    bounds = _spectral_interval(A)
     if opts.shift is None:
-        if A.bounds is not None and bounds.hi > _positive_fuzz(bounds):
+        if A.bounds is not None and _reaches_positive(bounds):
             raise BadSpec(
                 f"spectrum certified to reach {bounds.hi} > 0; "
                 "unshifted evaluation needs Spec(A) <= 0 (pass shift='auto')"

@@ -47,6 +47,9 @@ RESIDUAL_FACTOR = 10.0
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Largest asymmetry max |A - A^H| that validation accepts, relative to max(1, max |a_ij|)
+HERMITIAN_TOL = 1e-12
+
 # Cost weights of the band path per complex flop, relative to the dense LU and
 # its solves (LAPACK getrf/getrs through BLAS 3): the band factor runs at about
 # half, and the band triangular solves at about a quarter, of the dense rate.
@@ -97,10 +100,9 @@ class HermitianMatrix:
     """
 
     entries: np.ndarray
-    tol_herm: float = 1e-12
     bounds: SpectralBounds | None = field(default=None, compare=False)
     # (kl, ku): a_ij == 0 whenever i - j > kl or j - i > ku.  Both sides are
-    # measured, since the Hermitian check tolerates tol_herm-sized asymmetry.
+    # measured, since the Hermitian check tolerates HERMITIAN_TOL-sized asymmetry.
     bandwidth: tuple[int, int] = field(init=False, compare=False)
     _gershgorin: SpectralBounds = field(init=False, compare=False, repr=False)
     # LAPACK band storage of A (row kl + ku - k holds diagonal k), or None
@@ -122,7 +124,7 @@ class HermitianMatrix:
         if not np.isfinite(amax):
             raise BadSpec("matrix has non-finite entries")
         scale = max(1.0, amax)
-        slack = self.tol_herm * scale
+        slack = HERMITIAN_TOL * scale
         # the exact test allocates only a bool array; max |A - A^H| builds
         # d x d temporaries, so it runs only for inexactly Hermitian input
         if not np.array_equal(a, a.conj().T):
@@ -130,7 +132,7 @@ class HermitianMatrix:
             if dev > slack:
                 raise InvariantViolation(
                     "hermitian",
-                    f"max |A - A^H| = {dev:.3e} > {self.tol_herm:.1e} * {scale:.3e}",
+                    f"max |A - A^H| = {dev:.3e} > {HERMITIAN_TOL:.1e} * {scale:.3e}",
                 )
         diag = a.diagonal().real
         if self.bounds is not None:

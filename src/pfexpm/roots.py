@@ -11,11 +11,16 @@ arithmetic.  Tables are deterministic bit-for-bit: pairs are stored with the
 Im > 0 member first, the partner is the exact conjugate, and pairs are sorted
 by ascending real part (ties by ascending |Im|).
 
-Coefficient formulas (all equal in exact arithmetic):
-  product:     a_k = -n! / prod_{j != k} (theta_k - theta_j)
-  derivative:  a_k = -1 / exp_{n-1}(theta_k)
-  power:       a_k =  n! / theta_k^n
-The product form is the default used for shipped tables.
+The coefficients come from the product formula
+  a_k = -n! / prod_{j != k} (theta_k - theta_j).
+The derivative form -1/exp_{n-1}(theta_k) and the power form n!/theta_k^n
+are equal in exact arithmetic; tests/test_roots.py keeps them as
+cross-check references, and the table file records method=product.
+
+A RootTable is immutable and validated when it is built: every invariant,
+the residual of each root (evaluated once) and R_n(0) = 1 in binary64 are
+checked before the table exists, and its read-only binary64 views are built
+with it, so default_table(n) is one shared, validated table per order.
 """
 
 from __future__ import annotations
@@ -47,17 +52,15 @@ ORDER_MAX = 64
 #: orders up to ORDER_MAX.
 SEPARATION = 0.29044
 
-METHOD_PRODUCT = "product"
-METHOD_DERIVATIVE = "derivative"
-METHOD_POWER = "power"
-METHODS = (METHOD_PRODUCT, METHOD_DERIVATIVE, METHOD_POWER)
-
 _RESIDUAL_TOL = 1e-10
 _NEWTON_STEPS_F8 = 4
 _NEWTON_STEPS_DD = 5
 
 _FILE_MAGIC = "pfexpm-table"
 _FILE_VERSION = 1
+_FILE_METHOD = "product"
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def check_order(n: int) -> None:
@@ -168,74 +171,76 @@ def compute_roots(n: int) -> list[DoubleDoubleComplex]:
         rep = DoubleDoubleComplex((p.re + q.re) * 0.5, (p.im - q.im) * 0.5)
         roots.append(rep)
         roots.append(rep.conj())
-
-    for z in roots[::2]:
-        res, dabs = _residual_of(n, z)
-        if res > _RESIDUAL_TOL * max(1.0, dabs):
-            raise IterationLimitExceeded(
-                f"residual target missed for n={n}: |exp_n(theta)|={res:.3e} "
-                f"vs {_RESIDUAL_TOL:.0e}*max(1,{dabs:.3e})"
-            )
     return roots
 
 
 def compute_coeffs(
-    n: int, roots: list[DoubleDoubleComplex], method: str = METHOD_PRODUCT
+    n: int, roots: list[DoubleDoubleComplex]
 ) -> list[DoubleDoubleComplex]:
-    """Partial-fraction coefficients for the given roots.
+    """Partial-fraction coefficients a_k = -n! / prod_{j != k} (theta_k - theta_j).
 
     The Im > 0 representative of each pair is computed and the partner is set
     to its exact conjugate, which enforces conjugate closure bitwise.
     """
     check_order(n)
-    if method not in METHODS:
-        raise ParseError(f"unknown coefficient method {method!r}")
-    fact_n = DoubleDouble.from_int(math.factorial(n))
+    fact_n = DoubleDoubleComplex(DoubleDouble.from_int(math.factorial(n)))
     coeffs: list[DoubleDoubleComplex] = []
     for k in range(0, n, 2):
         rep = roots[k]
-        if method == METHOD_PRODUCT:
-            prod = DoubleDoubleComplex(1.0)
-            for j, other in enumerate(roots):
-                if j != k:
-                    prod = prod * (rep - other)
-            a = -(DoubleDoubleComplex(fact_n) / prod)
-        elif method == METHOD_DERIVATIVE:
-            a = -(DoubleDoubleComplex(1.0) / eval_trunc_dd(n - 1, rep))
-        else:
-            a = DoubleDoubleComplex(fact_n) / _pow_dd(rep, n)
+        prod = DoubleDoubleComplex(1.0)
+        for j, other in enumerate(roots):
+            if j != k:
+                prod = prod * (rep - other)
+        a = -(fact_n / prod)
         coeffs.append(a)
         coeffs.append(a.conj())
     return coeffs
 
 
-@dataclass
+def _read_only(values) -> np.ndarray:
+    out = np.array([z.to_complex() for z in values], dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
 class RootTable:
-    """Double-double roots theta_k and coefficients a_k for one even order."""
+    """Double-double roots theta_k and coefficients a_k for one even order.
+
+    Construction runs validate_table, so every RootTable satisfies every
+    table invariant; residual is the largest |exp_n(theta_k)| it measured.
+    The binary64 views returned by thetas_f8() and coeffs_f8() are built
+    once, read-only, and shared by every caller.
+    """
 
     n: int
-    method: str
-    roots: list[DoubleDoubleComplex]
-    coeffs: list[DoubleDoubleComplex]
-    residual: float = field(default=0.0)
+    roots: tuple[DoubleDoubleComplex, ...]
+    coeffs: tuple[DoubleDoubleComplex, ...]
+    residual: float = field(init=False)
+    _thetas: np.ndarray = field(init=False, compare=False, repr=False)
+    _coeffs: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "roots", tuple(self.roots))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "_thetas", _read_only(self.roots))
+        object.__setattr__(self, "_coeffs", _read_only(self.coeffs))
+        object.__setattr__(self, "residual", validate_table(self))
 
     def thetas_f8(self) -> np.ndarray:
-        return np.array([z.to_complex() for z in self.roots], dtype=complex)
+        return self._thetas
 
     def coeffs_f8(self) -> np.ndarray:
-        return np.array([z.to_complex() for z in self.coeffs], dtype=complex)
+        return self._coeffs
 
 
-def _max_residual(n: int, roots: list[DoubleDoubleComplex]) -> float:
-    return max(_residual_of(n, z)[0] for z in roots[::2])
+def validate_table(table: RootTable) -> float:
+    """Re-check every table invariant and return the largest root residual.
 
-
-def validate_table(table: RootTable) -> None:
-    """Re-check every structural invariant; raises InvariantViolation."""
+    Each root's residual is evaluated once.  Raises InvariantViolation.
+    """
     check_order(table.n)
     n = table.n
-    if table.method not in METHODS:
-        raise InvariantViolation("method", f"unknown method {table.method!r}")
     if len(table.roots) != n or len(table.coeffs) != n:
         raise InvariantViolation(
             "length", f"expected {n} roots and coefficients"
@@ -279,7 +284,7 @@ def validate_table(table: RootTable) -> None:
                 "parabola", f"{z.to_complex()} inside Im^2 < 4(Re+1)"
             )
 
-    thetas = table.thetas_f8()
+    thetas, coeffs = table.thetas_f8(), table.coeffs_f8()
     dist = np.abs(thetas[:, None] - thetas[None, :])
     np.fill_diagonal(dist, np.inf)
     sep = float(dist.min())
@@ -288,34 +293,38 @@ def validate_table(table: RootTable) -> None:
             "separation", f"min pairwise distance {sep} < {SEPARATION}"
         )
 
-    res = _max_residual(n, table.roots)
-    worst_scale = max(
-        max(1.0, _residual_of(n, z)[1]) for z in table.roots[::2]
-    )
-    if res > _RESIDUAL_TOL * worst_scale:
-        raise InvariantViolation(
-            "residual", f"max |exp_n(theta)| = {res:.3e} exceeds target"
-        )
+    worst = 0.0
+    for z in reps:
+        res, dabs = _residual_of(n, z)
+        if res > _RESIDUAL_TOL * max(1.0, dabs):
+            raise InvariantViolation(
+                "residual", f"|exp_n(theta)| = {res:.3e} exceeds "
+                f"{_RESIDUAL_TOL:.0e}*max(1, {dabs:.3e}) at {z.to_complex()}"
+            )
+        worst = max(worst, res)
+
+    # R_n(0) = sum_k a_k/theta_k = 1, summed over pairs as scalar.eval_pf does.
+    # The sum has condition number sum_k |a_k/theta_k|, which grows roughly
+    # like 0.56*1.7^(n/2); 8n eps is only reachable below n ~ 28.
+    r0 = 0.0
+    for k in range(0, n, 2):
+        r0 += 2.0 * float((coeffs[k] / thetas[k]).real)
+    gap = abs(r0 - 1.0)
+    cond = float(np.sum(np.abs(coeffs / thetas)))
+    if gap > max(8.0 * n * _EPS, cond * _EPS):
+        raise InvariantViolation("unit-at-zero", f"|R_n(0) - 1| = {gap:.3e}")
+    return worst
 
 
-def build_table(n: int, method: str = METHOD_PRODUCT) -> RootTable:
+def build_table(n: int) -> RootTable:
     roots = compute_roots(n)
-    coeffs = compute_coeffs(n, roots, method)
-    table = RootTable(
-        n=n,
-        method=method,
-        roots=roots,
-        coeffs=coeffs,
-        residual=_max_residual(n, roots),
-    )
-    validate_table(table)
-    return table
+    return RootTable(n=n, roots=roots, coeffs=compute_coeffs(n, roots))
 
 
 @functools.lru_cache(maxsize=None)
 def default_table(n: int) -> RootTable:
-    """Process-wide cache of product-formula tables."""
-    return build_table(n, METHOD_PRODUCT)
+    """Process-wide cache: one shared, immutable table per order."""
+    return build_table(n)
 
 
 # -- persistence -------------------------------------------------------------
@@ -350,7 +359,7 @@ def table_to_text(table: RootTable) -> str:
     lines = [
         f"{_FILE_MAGIC} v{_FILE_VERSION}",
         f"n={table.n}",
-        f"method={table.method}",
+        f"method={_FILE_METHOD}",
     ]
     lines.extend(_format_ddc("theta", z) for z in table.roots)
     lines.extend(_format_ddc("a", z) for z in table.coeffs)
@@ -377,7 +386,7 @@ def table_from_text(text: str) -> RootTable:
     if not lines[2].startswith("method="):
         raise ParseError(f"expected 'method=<name>', got {lines[2]!r}")
     method = lines[2][len("method=") :]
-    if method not in METHODS:
+    if method != _FILE_METHOD:
         raise ParseError(f"unknown method {method!r}")
     check_order(n)
 
@@ -386,15 +395,7 @@ def table_from_text(text: str) -> RootTable:
         raise ParseError(f"expected {2 * n} value lines, found {len(body)}")
     roots = [_parse_ddc(ln, "theta", i + 4) for i, ln in enumerate(body[:n])]
     coeffs = [_parse_ddc(ln, "a", i + 4 + n) for i, ln in enumerate(body[n:])]
-    table = RootTable(
-        n=n,
-        method=method,
-        roots=roots,
-        coeffs=coeffs,
-        residual=_max_residual(n, roots),
-    )
-    validate_table(table)
-    return table
+    return RootTable(n=n, roots=roots, coeffs=coeffs)
 
 
 def save_table(table: RootTable, path: str | os.PathLike) -> None:

@@ -5,8 +5,9 @@ has no real poles and approximates exp on the closed left half-line with
 uniform error at most 2^-n.  Two evaluation routes are provided:
 
 * the reciprocal form, one Horner pass plus a division, and
-* the partial-fraction form sum_k a_k/(z + theta_k) driven by a root table,
-  which is the route that parallelizes across shifted solves.
+* the partial-fraction form sum_k a_k/(z + theta_k), read from the binary64
+  views of a validated roots.RootTable (usually default_table(n)), which is
+  the route that parallelizes across shifted solves.
 
 The error model splits the observed binary64 error e1 (partial fractions vs
 libm exp, the latter treated as a <= 1 ulp oracle) into the truncation part
@@ -14,8 +15,8 @@ e2 (reciprocal form vs exp) and the decomposition part e3 (the two routes
 against each other), and provides the a priori bounds M1(n) = 2^-n and
 M2(n, D) = (C1(D) + C2(n, D)) * sum_k |a_k| for D-decimal-digit tables.
 
-All operations here are pure; PartialFraction is immutable and shareable
-across threads.
+All operations here are pure, and the tables they read are immutable, so
+everything is shareable across threads.
 """
 
 from __future__ import annotations
@@ -30,22 +31,13 @@ import numpy as np
 
 from .ddreal import DoubleDouble, DoubleDoubleComplex
 from .errors import ConditionViolated, InvariantViolation, PoleHit
-from .roots import (
-    METHOD_PRODUCT,
-    SEPARATION,
-    RootTable,
-    build_table,
-    check_order,
-    default_table,
-    eval_trunc_dd,
-)
+from .roots import SEPARATION, RootTable, check_order, default_table, eval_trunc_dd
 
 __all__ = [
     "GAMMA",
     "DigitModel",
     "ErrorBudget",
     "FnReport",
-    "PartialFraction",
     "approx_error",
     "bound_m1",
     "bound_m2",
@@ -57,7 +49,6 @@ __all__ = [
     "eval_reciprocal",
     "eval_reciprocal_dd",
     "exp_trunc",
-    "partial_fraction",
     "series_coefficients",
 ]
 
@@ -121,128 +112,35 @@ def eval_reciprocal(n: int, z):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialFraction:
-    """Binary64 working copy of a root table, pair-indexed for real input.
-
-    thetas and coeffs hold all n values in conjugate-adjacent order (the
-    Im > 0 member of each pair first); pairs holds the index of the
-    representative member of each of the n/2 pairs.
-    """
-
-    n: int
-    thetas: np.ndarray
-    coeffs: np.ndarray
-    pairs: tuple
-
-    def __post_init__(self):
-        check_order(self.n)
-        if self.thetas.shape != (self.n,) or self.coeffs.shape != (self.n,):
-            raise InvariantViolation(
-                "pf-shape", f"expected {self.n} roots and coefficients"
-            )
-        if self.pairs != tuple(range(0, self.n, 2)):
-            raise InvariantViolation("pf-pairs", f"bad pair index set {self.pairs!r}")
-        for i in self.pairs:
-            if self.thetas[i + 1] != np.conj(self.thetas[i]) or self.coeffs[
-                i + 1
-            ] != np.conj(self.coeffs[i]):
-                raise InvariantViolation("pf-conjugacy", f"pair at index {i}")
-        gap = abs(eval_pf(self, 0.0) - 1.0)
-        # The sum at 0 has condition number sum_k |a_k/theta_k|, which grows
-        # roughly like 0.56*1.7^(n/2); 8n eps is only reachable below n ~ 28.
-        cond = float(np.sum(np.abs(self.coeffs / self.thetas)))
-        if gap > max(8.0 * self.n * _EPS, cond * _EPS):
-            raise InvariantViolation("pf-unit-at-zero", f"|R_n(0) - 1| = {gap:.3e}")
-
-    @classmethod
-    def from_table(cls, table: RootTable) -> "PartialFraction":
-        thetas = table.thetas_f8()
-        coeffs = table.coeffs_f8()
-        thetas.setflags(write=False)
-        coeffs.setflags(write=False)
-        return cls(table.n, thetas, coeffs, tuple(range(0, table.n, 2)))
-
-
-def partial_fraction(n: int, method: str = METHOD_PRODUCT) -> PartialFraction:
-    """Working-precision partial fractions for order n (tables are cached)."""
-    if method == METHOD_PRODUCT:
-        return PartialFraction.from_table(default_table(n))
-    return PartialFraction.from_table(build_table(n, method))
-
-
-def _neumaier(terms):
-    s = terms[0] * 0.0
-    c = terms[0] * 0.0
-    for t in terms:
-        u = s + t
-        big = np.abs(s) >= np.abs(t)
-        c = c + np.where(big, (s - u) + t, (t - u) + s)
-        s = u
-    return s + c
-
-
-def eval_pf(pf: PartialFraction, z, compensated: bool = False):
+def eval_pf(table: RootTable, z):
     """Sum a_k/(z + theta_k) over the table, in ascending index order.
 
-    Real z uses the paired route sum_l 2*Re(a_{2l}/(z + theta_{2l})), half
-    the divisions, and the result is exactly real.  compensated=True
-    switches to Neumaier summation of the same terms (diagnostic only; the
-    M2 analysis assumes the plain ascending sum).
+    Real z, and a complex scalar whose imaginary part is zero, take the
+    paired route sum_l 2*Re(a_{2l}/(z + theta_{2l})): half the divisions, and
+    the result is exactly real.  Any other complex z sums all n terms.  A
+    scalar z gives a Python float or complex, an array z an array.
 
     Raises PoleHit if any |z + theta_k| underflows; on the real path this
     cannot happen because every root sits at distance >= GAMMA/2 from the
     real axis.
     """
-    th = pf.thetas
-    a = pf.coeffs
-    if isinstance(z, np.ndarray):
-        if np.iscomplexobj(z):
-            terms = []
-            for k in range(pf.n):
-                d = z + th[k]
-                if np.any(np.abs(d) < _DBL_MIN):
-                    raise PoleHit(f"z + theta_{k} underflows inside the input array")
-                terms.append(a[k] / d)
-            if compensated:
-                return _neumaier([t.real for t in terms]) + 1j * _neumaier(
-                    [t.imag for t in terms]
-                )
-            s = np.zeros(z.shape, dtype=complex)
-            for t in terms:
-                s = s + t
-            return s
-        x = np.asarray(z, dtype=np.float64)
-        terms = [2.0 * (a[i] / (x + th[i])).real for i in pf.pairs]
-        if compensated:
-            return _neumaier(terms)
-        s = np.zeros(x.shape, dtype=np.float64)
-        for t in terms:
-            s = s + t
-        return s
-    if isinstance(z, complex) and z.imag != 0.0:
-        terms = []
-        for k in range(pf.n):
-            d = z + th[k]
-            if abs(d) < _DBL_MIN:
-                raise PoleHit(f"z + theta_{k} = {d!r} underflows at z = {z!r}")
-            terms.append(complex(a[k] / d))
-        if compensated:
-            return complex(
-                _neumaier([t.real for t in terms]), _neumaier([t.imag for t in terms])
-            )
-        s = 0j
-        for t in terms:
-            s += t
-        return s
-    x = z.real if isinstance(z, complex) else float(z)
-    terms = [2.0 * float((a[i] / (x + th[i])).real) for i in pf.pairs]
-    if compensated:
-        return float(_neumaier(terms))
-    s = 0.0
-    for t in terms:
-        s += t
-    return s
+    th = table.thetas_f8()
+    a = table.coeffs_f8()
+    array = isinstance(z, np.ndarray)
+    if np.iscomplexobj(z) and (array or z.imag != 0.0):
+        w = np.asarray(z, dtype=complex)
+        s = np.zeros(w.shape, dtype=complex)
+        for k in range(table.n):
+            d = w + th[k]
+            if np.any(np.abs(d) < _DBL_MIN):
+                raise PoleHit(f"z + theta_{k} underflows at z = {z!r}")
+            s = s + a[k] / d
+        return s if array else complex(s)
+    x = np.asarray(np.real(z), dtype=np.float64)
+    s = np.zeros(x.shape, dtype=np.float64)
+    for k in range(0, table.n, 2):
+        s = s + 2.0 * (a[k] / (x + th[k])).real
+    return s if array else float(s)
 
 
 def eval_reciprocal_dd(table: RootTable, x: float) -> DoubleDouble:
@@ -277,10 +175,13 @@ def bound_m1(n: int) -> float:
 
 @dataclass(frozen=True)
 class DigitModel:
-    """Rounding model for tables stored with D significant decimal digits."""
+    """Rounding model for tables stored with D significant decimal digits.
+
+    The roots are separated by at least GAMMA; the perturbation bounds below
+    hold while that margin survives the rounding of n roots.
+    """
 
     D: int
-    gamma: float = GAMMA
 
     def __post_init__(self):
         _check_positive_int("D", self.D)
@@ -291,26 +192,26 @@ class DigitModel:
 
     def admits(self, n: int) -> bool:
         """Whether the perturbed roots keep a positive separation margin."""
-        return self.gamma > n * self.eta()
+        return GAMMA > n * self.eta()
 
     def require(self, n: int) -> None:
         if not self.admits(n):
             raise ConditionViolated(
-                f"gamma = {self.gamma} <= n*10^(1-D) = {n * self.eta():.6e} "
+                f"gamma = {GAMMA} <= n*10^(1-D) = {n * self.eta():.6e} "
                 f"for n = {n}, D = {self.D}"
             )
 
     def c1(self) -> float:
         e = self.eta()
-        return 2.0 * e / (self.gamma * (1.0 - e))
+        return 2.0 * e / (GAMMA * (1.0 - e))
 
     def c2(self, n: int) -> float:
         self.require(n)
         e = self.eta()
-        return 4.0 * n * e / (self.gamma * (self.gamma - n * e))
+        return 4.0 * n * e / (GAMMA * (GAMMA - n * e))
 
 
-def bound_m2(n: int, D: int = 16, table: RootTable | None = None) -> float:
+def bound_m2(n: int, D: int = 16) -> float:
     """Decomposition-error bound (C1(D) + C2(n, D)) * sum_k |a_k|.
 
     Bounds |reciprocal - partial fractions| on the real half-line when roots
@@ -319,8 +220,7 @@ def bound_m2(n: int, D: int = 16, table: RootTable | None = None) -> float:
     """
     model = DigitModel(D)
     factor = model.c1() + model.c2(n)
-    tab = default_table(n) if table is None else table
-    return factor * float(np.sum(np.abs(tab.coeffs_f8())))
+    return factor * float(np.sum(np.abs(default_table(n).coeffs_f8())))
 
 
 @dataclass(frozen=True)
@@ -346,7 +246,7 @@ class ErrorBudget:
             raise InvariantViolation("budget-m1", f"m1 = {self.m1!r} != 2^-{self.n}")
 
 
-def error_budget(n: int, x: float, D: int = 16, pf: PartialFraction | None = None) -> ErrorBudget:
+def error_budget(n: int, x: float, D: int = 16) -> ErrorBudget:
     """Split the binary64 error at x <= 0 into truncation and decomposition.
 
     e1 = |exp(x) - partial fractions|, e2 = |exp(x) - reciprocal form|,
@@ -356,10 +256,8 @@ def error_budget(n: int, x: float, D: int = 16, pf: PartialFraction | None = Non
     if x > 0.0:
         raise ValueError(f"x must be <= 0, got {x}")
     DigitModel(D).require(n)
-    if pf is None:
-        pf = partial_fraction(n)
     r_rec = float(eval_reciprocal(n, x))
-    r_pf = eval_pf(pf, x)
+    r_pf = eval_pf(default_table(n), x)
     ex = math.exp(x)
     return ErrorBudget(
         n=n,

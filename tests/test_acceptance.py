@@ -51,7 +51,6 @@ from pfexpm.scalar import (
     eval_pf_dd,
     eval_reciprocal,
     eval_reciprocal_dd,
-    partial_fraction,
     series_coefficients,
 )
 
@@ -119,7 +118,7 @@ def test_criterion_02_float_route_bound_m2():
     t0 = time.perf_counter()
     worst_ratio = 0.0
     for n in (8, 16, 32):
-        pf = partial_fraction(n)
+        pf = default_table(n)
         e3 = float(np.max(np.abs(eval_pf(pf, GRID_10K) - eval_reciprocal(n, GRID_10K))))
         worst_ratio = max(worst_ratio, e3 / bound_m2(n, 16))
     elapsed = time.perf_counter() - t0
@@ -136,7 +135,7 @@ def test_criterion_03_u_shape_of_e1():
     orders = list(range(2, 65, 2))
     e1 = []
     for n in orders:
-        pf = partial_fraction(n)
+        pf = default_table(n)
         e1.append(float(np.max(np.abs(eval_pf(pf, GRID_10K) - true))))
     nmin = orders[int(np.argmin(e1))]
     elapsed = time.perf_counter() - t0

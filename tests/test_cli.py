@@ -86,7 +86,7 @@ class TestExitCodes:
         assert run(["tables", "--n", "4", "--dir", str(blocker)]) == 4
 
     def test_invariant_violation_exit_3(self, monkeypatch, tmp_path):
-        def broken(n, method="product"):
+        def broken(n):
             raise InvariantViolation("separation", "injected failure")
 
         monkeypatch.setattr(cli, "build_table", broken)

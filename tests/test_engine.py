@@ -39,7 +39,7 @@ from pfexpm.linalg import (
     shifted_inverse,
 )
 from pfexpm.roots import default_table
-from pfexpm.scalar import approx_error, eval_pf, eval_reciprocal, partial_fraction
+from pfexpm.scalar import approx_error, eval_pf, eval_reciprocal
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -396,7 +396,7 @@ class TestSpectralProperties:
         xs = np.linspace(-4.0, 0.0, 9)
         A = HermitianMatrix(np.diag(xs))
         res = matexp_full(A, ExpOptions(n=n))
-        pf = partial_fraction(n)
+        pf = default_table(n)
         want = np.array([eval_pf(pf, float(x)) for x in xs])
         assert np.max(np.abs(np.diag(res.value) - want)) <= 4.0 * EPS * n
         off = res.value - np.diag(np.diag(res.value))

@@ -83,7 +83,7 @@ class TestHermitianMatrix:
         assert L.HermitianMatrix(a).bandwidth == (3, 3)
 
     def test_bandwidth_sides_measured_separately(self):
-        # asymmetry within tol_herm passes validation and widens one side only
+        # asymmetry within HERMITIAN_TOL passes validation and widens one side only
         a = lap1d(6).entries.copy()
         a[4, 0] = 1e-14
         assert L.HermitianMatrix(a).bandwidth == (4, 1)

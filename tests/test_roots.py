@@ -1,17 +1,39 @@
 """Root tables: values, invariants, persistence, cross-method agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pfexpm import roots as R
-from pfexpm.ddreal import DoubleDoubleComplex
+from pfexpm.ddreal import DoubleDouble, DoubleDoubleComplex
+from pfexpm.engine import MODE_ACTION, ExpOptions, matexp_action, matexp_full
 from pfexpm.errors import InvariantViolation, OrderOutOfRange, ParseError
+from pfexpm.linalg import HermitianMatrix
 
 
 def dd_abs(z: DoubleDoubleComplex) -> float:
     return math.sqrt(z.abs2().hi)
+
+
+def coeffs_derivative(n, roots):
+    """Reference formula a_k = -1 / exp_{n-1}(theta_k), conjugate-closed."""
+    out = []
+    for rep in roots[::2]:
+        a = -(DoubleDoubleComplex(1.0) / R.eval_trunc_dd(n - 1, rep))
+        out += [a, a.conj()]
+    return out
+
+
+def coeffs_power(n, roots):
+    """Reference formula a_k = n! / theta_k^n, conjugate-closed."""
+    fact_n = DoubleDoubleComplex(DoubleDouble.from_int(math.factorial(n)))
+    out = []
+    for rep in roots[::2]:
+        a = fact_n / R._pow_dd(rep, n)
+        out += [a, a.conj()]
+    return out
 
 
 class TestSmallOrderValues:
@@ -101,6 +123,76 @@ class TestInvariants:
         assert a.coeffs == b.coeffs
         assert a.residual == b.residual
 
+    def test_scaled_coefficients_rejected(self):
+        # building a RootTable runs validate_table; R_n(0) = 1 catches the scale
+        t = R.default_table(8)
+        scaled = [a * DoubleDouble(1.0 + 1e-6) for a in t.coeffs]
+        with pytest.raises(InvariantViolation, match="unit-at-zero"):
+            R.RootTable(8, t.roots, scaled)
+        with pytest.raises(InvariantViolation, match="unit-at-zero"):
+            dataclasses.replace(t, coeffs=scaled)
+
+    def test_lower_member_first_rejected(self):
+        # each pair must lead with its Im > 0 member
+        t = R.default_table(8)
+        swap = lambda xs: [xs[k ^ 1] for k in range(len(xs))]
+        with pytest.raises(InvariantViolation, match="pair-order"):
+            R.RootTable(8, swap(t.roots), swap(t.coeffs))
+
+    def test_each_residual_evaluated_once(self, monkeypatch):
+        calls = []
+        residual_of = R._residual_of
+        monkeypatch.setattr(
+            R, "_residual_of", lambda n, z: calls.append(z) or residual_of(n, z)
+        )
+        t = R.build_table(16)
+        assert calls == list(t.roots[::2])
+        assert t.residual == max(residual_of(16, z)[0] for z in t.roots[::2])
+
+
+class TestImmutability:
+    """default_table(n) is shared by every caller, so nobody may write to it."""
+
+    def test_cached_table_cannot_be_written(self):
+        A = HermitianMatrix(np.diag(np.linspace(-3.0, 0.0, 6)))
+        before = matexp_full(A, ExpOptions(n=8))
+        t = R.default_table(8)
+        assert R.default_table(8) is t
+        assert t.thetas_f8() is t.thetas_f8() and t.coeffs_f8() is t.coeffs_f8()
+        with pytest.raises(TypeError):
+            t.coeffs[0] = t.coeffs[0] * 2.0
+        with pytest.raises(TypeError):
+            t.roots[0] = t.roots[1]
+        with pytest.raises(ValueError):
+            t.thetas_f8()[0] = 0
+        with pytest.raises(ValueError):
+            t.coeffs_f8()[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.coeffs = ()
+        after = matexp_full(A, ExpOptions(n=8))
+        assert after.value.tobytes() == before.value.tobytes()
+        assert (after.error_bound, after.rounding_bound) == (
+            before.error_bound,
+            before.rounding_bound,
+        )
+
+    def test_engine_converts_no_table_entries_per_call(self, monkeypatch):
+        A = HermitianMatrix(np.diag(np.linspace(-3.0, 0.0, 6)))
+        v = np.ones(6) / math.sqrt(6.0)
+        full, action = ExpOptions(n=16), ExpOptions(n=16, mode=MODE_ACTION)
+        matexp_full(A, full), matexp_action(A, v, action)  # warm-up builds the table
+        conversions = []
+        to_complex = DoubleDoubleComplex.to_complex
+        monkeypatch.setattr(
+            DoubleDoubleComplex,
+            "to_complex",
+            lambda self: conversions.append(self) or to_complex(self),
+        )
+        results = [matexp_action(A, v, action) for _ in range(2)]
+        results += [matexp_full(A, full) for _ in range(2)]
+        assert all(r.error_bound is not None for r in results[2:])
+        assert conversions == []
+
 
 class TestCoefficientMethods:
     @staticmethod
@@ -112,33 +204,33 @@ class TestCoefficientMethods:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_methods_agree_tightly_at_moderate_order(self, n):
-        roots = R.default_table(n).roots
-        cp = R.compute_coeffs(n, roots, R.METHOD_PRODUCT)
-        cd = R.compute_coeffs(n, roots, R.METHOD_DERIVATIVE)
-        cw = R.compute_coeffs(n, roots, R.METHOD_POWER)
-        assert self._rel_gap(cp, cd) <= 1e-25
-        assert self._rel_gap(cp, cw) <= 1e-25
+        t = R.default_table(n)
+        cp = R.compute_coeffs(n, t.roots)
+        assert self._rel_gap(cp, coeffs_derivative(n, t.roots)) <= 1e-25
+        assert self._rel_gap(cp, coeffs_power(n, t.roots)) <= 1e-25
 
     def test_methods_agree_at_n32(self):
         # The double-double noise floor at the smallest-modulus roots of
         # exp_32 is ~ exp(|theta|) * 2^-104 / |exp_31(theta)| ~ 1e-24;
         # measured gaps are ~4e-25 (frozen here with margin).
-        roots = R.default_table(32).roots
-        cp = R.compute_coeffs(32, roots, R.METHOD_PRODUCT)
-        cd = R.compute_coeffs(32, roots, R.METHOD_DERIVATIVE)
-        cw = R.compute_coeffs(32, roots, R.METHOD_POWER)
-        assert self._rel_gap(cp, cd) <= 1e-24
-        assert self._rel_gap(cp, cw) <= 1e-24
+        t = R.default_table(32)
+        cp = R.compute_coeffs(32, t.roots)
+        assert list(cp) == list(t.coeffs)
+        assert self._rel_gap(cp, coeffs_derivative(32, t.roots)) <= 1e-24
+        assert self._rel_gap(cp, coeffs_power(32, t.roots)) <= 1e-24
 
     def test_power_formula_n2_by_hand(self):
         # a = 2!/theta^2 with theta = -1+i: theta^2 = -2i, so a = i.
-        roots = R.default_table(2).roots
-        cw = R.compute_coeffs(2, roots, R.METHOD_POWER)
+        cw = coeffs_power(2, R.default_table(2).roots)
         assert cw[0].to_complex() == complex(0.0, 1.0)
 
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, tmp_path):
+        # only the product formula ships; a file naming another is refused
+        p = tmp_path / "t.txt"
+        R.save_table(R.build_table(2), p)
+        p.write_text(p.read_text().replace("method=product", "method=derivative"))
         with pytest.raises(ParseError):
-            R.compute_coeffs(2, R.default_table(2).roots, "lagrange")
+            R.load_table(p)
 
 
 class TestBinary64CrossComputation:
@@ -194,7 +286,7 @@ class TestPersistence:
         p = tmp_path / "t8.txt"
         R.save_table(t, p)
         back = R.load_table(p)
-        assert back.n == 8 and back.method == R.METHOD_PRODUCT
+        assert back.n == 8
         assert back.roots == t.roots
         assert back.coeffs == t.coeffs
         assert back.residual == t.residual
