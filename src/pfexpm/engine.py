@@ -17,13 +17,24 @@ mode, 1 or 2 in action mode), weighting band flops 2x (factor) and 4x
 (solves) for their lower speed.  ExpResult.bandwidth reports which path ran.
 
 Every pair solves against a right-hand side that already carries its residue,
-and the calling thread adds its pair term to the sum in place, in ascending
-order.  Dense pairs run on a thread pool when more than one worker is asked
-for; band pairs run in the calling thread, because scipy's gbtrf/gbtrs
-wrappers hold the GIL.  Results are therefore bit-identical for every thread
-count; t_para reports max over per-task wall times as run (workers and BLAS
-threads share the CPUs, so each task time includes contention), t_total the
-actual wall time.
+and its pair term is added to the sum in place, in ascending order: by the
+pair itself in a serial full-mode run, by the calling thread otherwise.
+Dense pairs run on a thread pool when more than one worker is asked for;
+band pairs run in the calling thread, because scipy's gbtrf/gbtrs wrappers
+hold the GIL.  Results are therefore bit-identical for every thread count;
+t_para reports max over per-task wall times as run (workers and BLAS threads
+share the CPUs, so each task time includes contention), t_total the actual
+wall time.
+
+Real band input in full mode needs only half the solve work: each pair term
+Re(2 a_k (A + theta_k I)^-1) is symmetric, so the pair solves the lower
+triangle alone, in linalg.BLOCK_COLUMNS-wide blocks of the identity, each
+from the first row its solution can depend on (linalg._solve_blocks), and
+adds Re of each block to the sum.  After the last pair the sum's strict lower
+triangle is copied into the upper one, so the value is exactly symmetric and
+its lower triangle is bit for bit that of full-width solves.  Dense input
+(whose pivots may move any row) and complex input (Y + Y^H needs both
+triangles) solve all d columns in one block.
 
 The reported error has two parts, both a priori and O(n) scalar work:
 error_bound is the truncation term, a bound on ||exp(A) - R_n(A)||_2 in exact
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -64,7 +76,17 @@ from .errors import (
     OrderTooSmallWarning,
     Overflow,
 )
-from .linalg import HermitianMatrix, SpectralBounds, _band_path, _BandLU, _DenseLU, gershgorin_bounds
+from .linalg import (
+    BLOCK_COLUMNS,
+    HermitianMatrix,
+    SpectralBounds,
+    _band_path,
+    _BandLU,
+    _DenseLU,
+    _mirror_lower,
+    _solve_blocks,
+    gershgorin_bounds,
+)
 from .roots import check_order, default_table
 from .scalar import approx_error
 
@@ -99,6 +121,9 @@ SOLVE_GROWTH = 1.0
 
 _U = 2.0**-53  # unit roundoff of binary64
 _SQRT2 = math.sqrt(2.0)
+
+# Frames from files under this directory belong to the package (_warn_caller)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -146,7 +171,9 @@ class ExpResult:
     error of the returned value; error_bound alone does not.
 
     bandwidth reports the solve path: (kl, ku) of A when every pole pair was
-    factored in LAPACK band storage, None when the dense LU ran.
+    factored in LAPACK band storage, None when the dense LU ran.  A full-mode
+    value of real input on the band path is exactly symmetric (its upper
+    triangle is a copy of the lower one).
     """
 
     value: np.ndarray
@@ -200,22 +227,29 @@ def _reaches_positive(bounds: SpectralBounds) -> bool:
     return bounds.hi > POSITIVE_FUZZ * max(1.0, abs(bounds.lo))
 
 
-def _interval_bound(bounds: SpectralBounds, n: int, stacklevel: int):
+def _warn_caller(message: str) -> None:
+    """Warn OrderTooSmallWarning at the first frame outside the pfexpm package.
+
+    warnings.warn's skip_file_prefixes would do this from Python 3.12 on.
+    """
+    frame, level = sys._getframe(1), 2  # stacklevel 2 names our caller
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, OrderTooSmallWarning, stacklevel=level)
+
+
+def _interval_bound(bounds: SpectralBounds, n: int):
     """Absolute bound on max |exp - R_n| over [lo, hi], or None + warning."""
     if _reaches_positive(bounds):
-        warnings.warn(
+        _warn_caller(
             f"spectral upper estimate {bounds.hi:.3e} > 0: no certified bound "
-            "(use the shift method for nonnegative spectra)",
-            OrderTooSmallWarning,
-            stacklevel=stacklevel,
+            "(use the shift method for nonnegative spectra)"
         )
         return None
     try:
         bound = apriori_bound(SpectralBounds(min(bounds.lo, 0.0), min(bounds.hi, 0.0)), n)
     except OrderTooSmall as exc:
-        warnings.warn(
-            f"{exc}: bound hypothesis fails", OrderTooSmallWarning, stacklevel=stacklevel
-        )
+        _warn_caller(f"{exc}: bound hypothesis fails")
         return None
     if bounds.hi > 0.0:
         # sliver [0, hi]: |exp - R_n| ~ hi^(n+1)/(n+1)! there, same leading
@@ -255,7 +289,11 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
        its L U and of its triangular solves is an inner product over at most
        m = min(d, kl + ku + 1) terms, so its backward-error constant is
        gamma_{3m}, which depends on kl + ku and not on d, and gamma_{3d}
-       bounds it.  Against the exact M_k the residual is at most
+       bounds it.  For real band input in full mode, Y_k is the mirrored
+       solve: its lower triangle solved in column blocks and copied into the
+       upper triangle (exact inverses of M_k are complex symmetric), the
+       matrix whose real part is summed, and the hypothesis is stated for
+       that Y_k.  Against the exact M_k the residual is at most
        eta_k ||Y_k|| with
        eta_k = g gt (rho + |theta_k| + phi_k) + phi_k.  Since
        Y_k - X_k R = X_k (M_k Y_k - R) and ||X_k|| <= 1/beta_k,
@@ -282,7 +320,9 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
     eta_k >= beta_k for some k, which needs d of order 1e13.  With g = 1 it is
     4e-11 to 3e-10 at n = 16 and 7e-9 to 5e-8 at n = 32 for rho = 4 and
     d = 50 to 400, against observed errors near 2e-13; the observed residuals
-    on lap1d and random spectra stay below 0.02 gt ||M_k|| ||Y_k||.
+    on lap1d and random spectra stay below 0.02 gt ||M_k|| ||Y_k||, and those
+    of the mirrored solves below 0.003 (lap1d, d = 300) and 0.006 (random
+    real band matrices, d = 200) of it, as for full-width solves.
     """
     table = default_table(n)
     theta = table.thetas_f8()[::2]
@@ -309,12 +349,16 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
     One body, pair(k), runs every pole pair with the solver that _band_path
     picks once per call.  It solves against a right-hand side that already
     carries the residue (2 a_k I or a_k I in full mode; (2 a_k) v, or a_k v
-    and conj(a_k) v with the adjoint solve) and returns Re Y or Y + Y^H.  The
-    calling thread adds the pair terms in place, in ascending order, from map
-    when serial and from pool.map otherwise, so the sum is the same for every
-    thread count.  A serial full-mode run reuses one work array, plus one
-    pair-term buffer for complex input.  A pair's time covers its factor,
-    solve and pair term, not the addition.
+    and conj(a_k) v with the adjoint solve) and forms Re Y or Y + Y^H.  Full
+    mode solves in column blocks (_solve_blocks): BLOCK_COLUMNS wide, each
+    covering its lower triangle, for real band input, whose sum is mirrored
+    at the end; one block of all d columns otherwise.  A serial full-mode
+    pair adds each block's term to the sum itself, reusing one block buffer
+    (d x d for one block) plus one pair-term buffer for complex input, so its
+    time covers its factor, solves and additions.  Otherwise pair(k) returns
+    its term and the calling thread adds it, from map or pool.map; its time
+    then leaves the addition out.  Either way the terms are added in place,
+    in ascending order, so the sum is the same for every thread count.
 
     Returns (sum, per-task times, wall time, A.bandwidth or None for dense).
     """
@@ -335,13 +379,16 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
     solver = _BandLU if band else _DenseLU
     # scipy's gbtrf/gbtrs wrappers hold the GIL: band pairs gain nothing from a pool
     workers = 1 if band else opts.worker_count(len(poles))
-    work = pair_buf = None
-    if workers == 1 and not action:
-        work = np.empty((d, d), dtype=complex, order="F")
-        pair_buf = None if real_path else np.empty_like(work)
+    # real band full mode solves the lower triangle in column blocks and mirrors it
+    mirror = band and real_path and not action
+    width = BLOCK_COLUMNS if mirror else d
+    serial_full = workers == 1 and not action
+    acc = np.empty(d if action else (d, d), dtype=float if real_path else complex, order="F")
+    work = np.empty(d * width, dtype=complex) if serial_full else None
+    pair_buf = np.empty((d, d), dtype=complex, order="F") if serial_full and not real_path else None
     times = [0.0] * len(poles)
 
-    def pair(k: int) -> np.ndarray:
+    def pair(k: int) -> np.ndarray | None:
         t0 = time.perf_counter()
         a = coeffs[k]
         lu = solver(A, poles[k])
@@ -351,24 +398,33 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
             else:
                 term = lu.solve(a * v) + lu.solve(np.conj(a) * v, trans=2)
         else:
-            R = work if work is not None else np.empty((d, d), dtype=complex, order="F")
-            R.fill(0.0)
-            np.fill_diagonal(R, 2.0 * a if real_path else a)
-            Y = lu.solve(R)
-            if real_path:
-                term = Y.real
-            else:
-                term = np.add(Y, np.conjugate(Y.T, out=pair_buf), out=pair_buf)
+            for s, j0, j1, Y in _solve_blocks(lu, d, 2.0 * a if real_path else a, width, work):
+                if real_path:
+                    term = Y.real
+                else:
+                    term = np.add(Y, np.conjugate(Y.T, out=pair_buf), out=pair_buf)
+                if serial_full:
+                    _accumulate(k, acc[s:, j0:j1], term)
+                    term = None
         times[k] = time.perf_counter() - t0
         return term
 
     t_start = time.perf_counter()
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        terms = (pool.map if pool else map)(pair, range(len(poles)))
-        acc = next(terms).copy(order="K")
-        for term in terms:
-            acc += term
+        for k, term in enumerate((pool.map if pool else map)(pair, range(len(poles)))):
+            if term is not None:
+                _accumulate(k, acc, term)
+    if mirror:
+        _mirror_lower(acc)
     return acc, tuple(times), time.perf_counter() - t_start, A.bandwidth if band else None
+
+
+def _accumulate(k: int, out: np.ndarray, term: np.ndarray) -> None:
+    """Add pair k's term into out, a view of the sum; pair 0's term is copied."""
+    if k == 0:
+        np.copyto(out, term)
+    else:
+        out += term
 
 
 def _alpha_lower(A: HermitianMatrix) -> float:
@@ -382,8 +438,7 @@ def _alpha_lower(A: HermitianMatrix) -> float:
 def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
     """The one evaluation path: e^c R_n(A - cI) (v), c = 0 when unshifted.
 
-    Every public entry point calls this directly, so stacklevel=4 in
-    _interval_bound attributes warnings to the entry point's caller.
+    Warnings name the first caller outside the package (_warn_caller).
 
     error_bound is the truncation term on [lo - c, hi - c]: it bounds
     ||exp(A) - e^c R_n(A - cI)||_2 in exact arithmetic.  rounding_bound
@@ -406,7 +461,7 @@ def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
             raise Overflow(f"exp({c}) overflows binary64 (shift limit {SHIFT_MAX})")
     value, times, t_total, bandwidth = _run_tasks(A, v, opts, c)
     shifted = SpectralBounds(bounds.lo - c, bounds.hi - c, bounds.exact)
-    bound = _interval_bound(shifted, opts.n, stacklevel=4)
+    bound = _interval_bound(shifted, opts.n)
     kind = rounding = None
     if bound is not None:
         kind = "absolute"

@@ -19,6 +19,23 @@ A shifted solve factors A + theta I in band storage (_BandLU: gbtrf/gbtrs)
 whenever _band_pays(d, kl, ku, nrhs) says the band LU is the cheaper of the
 two by flop count, and densely (_DenseLU: getrf/getrs) otherwise.  The two
 solvers share one interface, so every caller runs the same solve code.
+
+solve(R, top=s) solves with the trailing factor from row s on; R holds the
+rows from s on of a right-hand side that is zero above them.  Band LU pivots
+move a row by at most kl, so for a right-hand side that is zero above row
+j0 (a block of identity columns [j0, j1), say) the forward solve's steps
+before row j0 - kl change nothing, and the solution's rows from j0 on depend
+on the trailing factor alone.  first_row(j0) = max(j0 - max(kl, kl + ku - 1),
+0) starts up to ku - 1 rows higher still, so that the back substitution
+updates rows j0.. in BLAS calls of the same length as in the solve of all d
+rows: they come out bit for bit the same.  A dense LU may move any row, so
+its first_row is always 0.
+
+For real A the inverse of A + theta I is complex symmetric, and its lower
+triangle determines it: _solve_blocks walks BLOCK_COLUMNS-wide identity
+blocks, solving each from its first_row, and _mirror_lower copies the
+strict lower triangle into the upper one.  Per pole that is about
+d^2/2 + d (kl + ku + BLOCK_COLUMNS/2) solved column-rows instead of d^2.
 """
 
 from __future__ import annotations
@@ -60,6 +77,16 @@ HERMITIAN_TOL = 1e-12
 # faster up to b = d/2.
 BAND_FACTOR_WEIGHT = 2.0
 BAND_SOLVE_WEIGHT = 4.0
+
+# Identity columns per band solve when only the lower triangle of an inverse
+# is needed (_solve_blocks): each block solves about kl + ku + BLOCK_COLUMNS/2
+# rows per column above the diagonal that the mirror then overwrites, and
+# each block is one gbtrs call
+BLOCK_COLUMNS = 32
+
+# The strict upper triangle of a BLOCK_COLUMNS-wide diagonal block (_mirror_lower)
+_STRICT_UPPER = np.triu(np.ones((BLOCK_COLUMNS, BLOCK_COLUMNS), dtype=bool), 1)
+_STRICT_UPPER.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -221,12 +248,32 @@ class _BandLU:
         _check_info("zgbtrf", info, pole)
         self._lu, self._piv, self._kl, self._ku = lu, piv, kl, ku
 
-    def solve(self, R: np.ndarray, trans: int = 0) -> np.ndarray:
+    def first_row(self, j0: int) -> int:
+        """First row to solve from for right-hand sides that are zero above row j0.
+
+        The forward solve needs rows from j0 - kl on.  Each step i of the
+        back substitution (ztbsv) updates the min(i, kl + ku) rows above i in
+        one call, so rows from j0 - (kl + ku - 1) on keep every update of
+        rows j0.. at full length, and the BLAS repeats its operations on
+        them bit for bit.
+        """
+        return max(j0 - max(self._kl, self._kl + self._ku - 1), 0)
+
+    def solve(self, R: np.ndarray, trans: int = 0, top: int = 0) -> np.ndarray:
         """X with M X = R (trans=0) or M^H X = R (trans=2).
 
-        R is overwritten when it is a Fortran-ordered complex array.
+        With top = s > 0 (trans=0 only) the solve runs on the trailing
+        factor: R holds the rows s.. of a right-hand side that is zero above
+        row j0, s = first_row(j0), and the rows s.. of X are returned, those
+        from j0 on bit for bit as in the solve of all d rows.  R is
+        overwritten when it is a Fortran-ordered complex array.
         """
-        x, info = zgbtrs(self._lu, self._kl, self._ku, R, self._piv, trans=trans, overwrite_b=True)
+        lu, piv = self._lu, self._piv
+        if top:
+            if trans:
+                raise InvariantViolation("solve-top", f"top = {top} needs trans = 0")
+            lu, piv = lu[:, top:], piv[top:] - top
+        x, info = zgbtrs(lu, self._kl, self._ku, R, piv, trans=trans, overwrite_b=True)
         _check_info("zgbtrs", info)
         return x
 
@@ -246,11 +293,18 @@ class _DenseLU:
         _check_info("zgetrf", info, pole)
         self._lu, self._piv = lu, piv
 
-    def solve(self, R: np.ndarray, trans: int = 0) -> np.ndarray:
+    def first_row(self, j0: int) -> int:
+        """Always 0: partial pivoting may move any row of a dense matrix to any other."""
+        return 0
+
+    def solve(self, R: np.ndarray, trans: int = 0, top: int = 0) -> np.ndarray:
         """X with M X = R (trans=0) or M^H X = R (trans=2).
 
-        R is overwritten when it is a Fortran-ordered complex array.
+        top must be 0 (see first_row).  R is overwritten when it is a
+        Fortran-ordered complex array.
         """
+        if top:
+            raise InvariantViolation("solve-top", f"a dense LU solves all rows, got top = {top}")
         x, info = zgetrs(self._lu, self._piv, R, trans=trans, overwrite_b=True)
         _check_info("zgetrs", info)
         return x
@@ -285,11 +339,58 @@ def shifted_solve(A: HermitianMatrix, theta: complex, V: np.ndarray) -> np.ndarr
     return _factor(A, theta, 1 if R.ndim == 1 else R.shape[1]).solve(R)
 
 
+def _solve_blocks(lu, d: int, scale: complex, width: int, buf: np.ndarray | None):
+    """Yield (s, j0, j1, Y): Y = rows s.. of the solution for columns [j0, j1) of scale I.
+
+    Walks blocks of `width` identity columns, each solved from its
+    s = lu.first_row(j0); with width = d there is one block and s = 0.  Rows
+    s.. cover the lower triangle of the block's columns.  buf, a flat complex
+    array of at least d * width entries, holds each block's right-hand side
+    and then its solution, so each Y is valid only until the next one is
+    yielded; buf=None allocates a new array per block.
+    """
+    for j0 in range(0, d, width):
+        j1 = min(j0 + width, d)
+        s = lu.first_row(j0)
+        shape = (d - s, j1 - j0)
+        if buf is None:
+            R = np.zeros(shape, dtype=complex, order="F")
+        else:
+            R = buf[: shape[0] * shape[1]].reshape(shape, order="F")
+            R.fill(0.0)
+        np.fill_diagonal(R[j0 - s :], scale)
+        yield s, j0, j1, lu.solve(R, top=s)
+
+
+def _mirror_lower(M: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square M into its upper one, in place."""
+    d = M.shape[0]
+    for j0 in range(0, d, BLOCK_COLUMNS):
+        j1 = min(j0 + BLOCK_COLUMNS, d)
+        M[j0:j1, j1:] = M[j1:, j0:j1].T
+        block = M[j0:j1, j0:j1]
+        np.copyto(block, block.T, where=_STRICT_UPPER[: j1 - j0, : j1 - j0])
+
+
 def shifted_inverse(A: HermitianMatrix, theta: complex) -> np.ndarray:
-    """(A + theta I)^{-1} as a dense matrix, solved in place over one identity."""
-    R = np.zeros((A.d, A.d), dtype=complex, order="F")
-    np.fill_diagonal(R, 1.0)
-    return _factor(A, theta, A.d).solve(R)
+    """(A + theta I)^{-1} as a dense matrix.
+
+    For real banded A the engine's full-mode solve runs with residue 1: the
+    lower triangle is solved in column blocks (_solve_blocks) and mirrored,
+    so the result is exactly complex symmetric.  Otherwise one solve runs in
+    place over the whole identity.
+    """
+    d = A.d
+    lu = _factor(A, theta, d)
+    if isinstance(lu, _BandLU) and A.is_real():
+        X = np.empty((d, d), dtype=complex, order="F")
+        buf = np.empty(d * BLOCK_COLUMNS, dtype=complex)
+        for s, j0, j1, Y in _solve_blocks(lu, d, 1.0, BLOCK_COLUMNS, buf):
+            X[s:, j0:j1] = Y
+        _mirror_lower(X)
+        return X
+    _, _, _, X = next(_solve_blocks(lu, d, 1.0, d, None))
+    return X
 
 
 def eig_hermitian(A: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -283,6 +283,12 @@ class TestCsv:
         assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",,")
         assert parse_csv(path)[0].rounding is None
 
+    def test_order_warning_points_at_the_suite_caller(self):
+        """The warning names the first frame outside the package, not bench.py."""
+        with pytest.warns(OrderTooSmallWarning) as record:
+            run_matrix_suite([MatrixSpec(FAMILY_LAP2D, 16)], [8], timing_repeats=1)
+        assert record and {w.filename for w in record} == {__file__}
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")

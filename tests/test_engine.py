@@ -877,6 +877,73 @@ class TestBandedPath:
         assert res.bandwidth is None
         assert peak < (5 if complex_ else 3) * 16 * d * d
 
+    def test_real_band_full_mode_memory_per_call(self):
+        """Real band full mode holds the real sum and one d x BLOCK_COLUMNS
+        complex block buffer: no d x d complex work array."""
+        d = 300
+        res, peak = _full_mode_peak(lap1d(d), ExpOptions(n=16))
+        assert res.bandwidth == (1, 1)
+        assert peak < 1.6 * 8 * d * d
+
+
+def _pair_sum_reference(A, n, solver):
+    """The ascending sum of the pole pairs' terms, each from one full-width solve.
+
+    solver is _BandLU or _DenseLU.  A pair term is Re Y with Y solved against
+    2 a_k I for real A, and Y + Y^H with Y solved against a_k I otherwise.
+    """
+    table = default_table(n)
+    ref = None
+    for theta, a in zip(table.thetas_f8()[::2], table.coeffs_f8()[::2]):
+        R = np.zeros((A.d, A.d), dtype=complex, order="F")
+        np.fill_diagonal(R, 2.0 * a if A.is_real() else a)
+        Y = solver(A, theta).solve(R)
+        term = Y.real if A.is_real() else Y + Y.conj().T
+        ref = term.copy() if ref is None else ref + term
+    return ref
+
+
+class TestFullModeSum:
+    """Full mode sums each pole pair's solve of the residue times I, in
+    ascending order; real band input solves and sums only the lower triangle."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: lap1d(300),
+            lambda: HermitianMatrix(0.25 * lap2d(12).entries),
+            lambda: HermitianMatrix(_banded(4, 75, 3, False, True)),
+            lambda: HermitianMatrix(_banded(5, 33, 1, False, False)),
+        ],
+        ids=["lap1d-300", "lap2d-144", "lopsided-75", "tridiagonal-33"],
+    )
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_real_band_is_symmetric_lower_triangle_of_full_solves(self, make, n):
+        A = make()
+        assert A.is_real() and linalg._band_path(A, A.d)
+        res = matexp_full(A, ExpOptions(n=n))
+        assert res.bandwidth == A.bandwidth
+        assert np.array_equal(res.value, res.value.T)
+        ref = _pair_sum_reference(A, n, linalg._BandLU)
+        lower = np.tril_indices(A.d)
+        assert res.value[lower].tobytes() == ref[lower].tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["dense-real", "dense-complex", "band-complex"])
+    def test_dense_and_complex_are_full_width_solves(self, kind, threads):
+        if kind == "band-complex":
+            A = HermitianMatrix(_banded(6, 70, 2, True, False))
+            solver = linalg._BandLU
+        else:
+            entries, lam = _hermitian(7, 60, kind == "dense-complex", -3.0, 0.0)
+            A = HermitianMatrix(entries, bounds=SpectralBounds(lam.min(), lam.max(), exact=True))
+            solver = linalg._DenseLU
+        assert linalg._band_path(A, A.d) == (solver is linalg._BandLU)
+        res = matexp_full(A, ExpOptions(n=16, threads=threads))
+        ref = _pair_sum_reference(A, 16, solver)
+        assert res.value.dtype == ref.dtype
+        assert res.value.tobytes() == ref.tobytes()
+
 
 def _full_mode_peak(A, opts):
     """matexp_full's result and its peak traced allocation, after a warm-up call."""

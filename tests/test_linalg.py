@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import zgbtrf
 
 from pfexpm import linalg as L
 from pfexpm import roots as R
@@ -248,6 +251,82 @@ class TestShiftedSolve:
         assert L._band_pays(20, 0, 0, 1)
         with pytest.raises(SingularSystem):
             L.shifted_solve(A, 0.0, np.ones(20))
+
+
+def _general_band_lu(rng, d, kl, ku, diag):
+    """A _BandLU of a random complex (kl, ku)-band matrix, not Hermitian: the real
+    and imaginary parts of its entries lie in [-1, 1], on the diagonal in [-diag, diag]."""
+    kl, ku = min(kl, d - 1), min(ku, d - 1)
+    ab = np.zeros((2 * kl + ku + 1, d), dtype=complex, order="F")
+    for k in range(-kl, ku + 1):
+        size = d - abs(k)
+        entries = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+        ab[kl + ku - k, max(k, 0) : d + min(k, 0)] = entries * (diag if k == 0 else 1.0)
+    lu = object.__new__(L._BandLU)
+    lu._lu, lu._piv, info = zgbtrf(ab, kl, ku, overwrite_ab=True)
+    assert info == 0
+    lu._kl, lu._ku = kl, ku
+    return lu
+
+
+class TestTrailingSolve:
+    """solve(R, top=s) on the trailing factor: for R zero above row j0 and
+    s = first_row(j0), the rows j0.. of the full solve, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(2, 80),
+        kl=st.integers(1, 14),
+        ku=st.integers(0, 14),
+        j0=st.integers(0, 79),
+        cols=st.integers(1, 40),
+        identity=st.booleans(),
+    )
+    def test_rows_from_first_row_match_full_solve(self, seed, d, kl, ku, j0, cols, identity):
+        # lopsided bands, and a diagonal below 1e-3 against off-diagonal
+        # entries near 1, so partial pivoting swaps rows
+        rng = np.random.default_rng(seed)
+        lu = _general_band_lu(rng, d, kl, ku, 1e-3)
+        assert np.any(lu._piv != np.arange(d))
+        j0 = j0 % d
+        j1 = min(j0 + cols, d)
+        # zero above row j0: columns of 2.5 I, or random entries from row j0 on
+        R = np.zeros((d, j1 - j0), dtype=complex, order="F")
+        if identity:
+            np.fill_diagonal(R[j0:], 2.5)
+        else:
+            R[j0:] = rng.standard_normal((d - j0, j1 - j0))
+        s = lu.first_row(j0)
+        assert s == max(j0 - max(lu._kl, lu._kl + lu._ku - 1), 0)
+        full = lu.solve(R.copy(order="F"))
+        part = lu.solve(np.asfortranarray(R[s:]), top=s)
+        assert part.shape == (d - s, j1 - j0)
+        assert part[j0 - s :].tobytes() == full[j0:].tobytes()
+
+    def test_top_needs_a_plain_band_solve(self):
+        lu = L._BandLU(lap1d(40), 1j)
+        with pytest.raises(InvariantViolation, match="trans"):
+            lu.solve(np.ones((39, 1), dtype=complex, order="F"), trans=2, top=1)
+        dense = L._DenseLU(random_hermitian(np.random.default_rng(3), 40), 1j)
+        assert dense.first_row(20) == 0
+        with pytest.raises(InvariantViolation, match="top"):
+            dense.solve(np.ones((39, 1), dtype=complex, order="F"), top=1)
+
+    @pytest.mark.parametrize("d", [31, 32, 33, 100])
+    def test_shifted_inverse_mirrors_the_lower_triangle(self, d):
+        """Real band input: the lower triangle of the one full-width solve,
+        mirrored into a complex symmetric matrix."""
+        A = L.HermitianMatrix(np.triu(np.tril(lap1d(d).entries + 0.3, 2), -2))
+        theta = complex(-0.4, 0.7)
+        assert L._band_path(A, d) and A.bandwidth == (min(2, d - 1),) * 2
+        X = L.shifted_inverse(A, theta)
+        R = np.zeros((d, d), dtype=complex, order="F")
+        np.fill_diagonal(R, 1.0)
+        full = L._BandLU(A, theta).solve(R)
+        lower = np.tril_indices(d)
+        assert X.dtype == complex and np.array_equal(X, X.T)
+        assert X[lower].tobytes() == full[lower].tobytes()
 
 
 class TestShiftedInverse:
