@@ -282,7 +282,11 @@ def run_matrix_suite(
     shift=None,
     timing_repeats: int = 3,
 ) -> list[BenchRecord]:
-    """One BenchRecord per (spec, n, trial); sequential to keep timings honest."""
+    """One BenchRecord per (spec, n, trial); sequential to keep timings honest.
+
+    threads is passed on to ExpOptions, where it is validated but no longer
+    changes how a call runs.
+    """
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
     if timing_repeats < 1:

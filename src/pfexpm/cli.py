@@ -135,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--mode", choices=(MODE_FULL, MODE_ACTION), default=MODE_FULL)
     b.add_argument("--trials", type=int, default=None,
                    help="rows per (spec, n); default 10 for random, else 1")
-    b.add_argument("--threads", type=_parse_threads, default="auto")
+    b.add_argument("--threads", type=_parse_threads, default="auto",
+                   help="accepted for compatibility; no longer changes how a call "
+                   "runs (every pole pair runs in the calling thread)")
     b.add_argument("--seed", type=_parse_seed, default=0)
     b.add_argument("--digits", type=int, default=16,
                    help="decimal digits of the float model, must admit every n")

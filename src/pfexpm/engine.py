@@ -1,12 +1,12 @@
-"""Parallel evaluation of R_n(A) and R_n(A)v for Hermitian A.
+"""Evaluation of R_n(A) and R_n(A)v for Hermitian A.
 
 R_n(A) = sum_k a_k (A + theta_k I)^{-1} turns the rational approximation of
 exp(A) into n independent shifted solves.  Conjugate symmetry halves the
 work: only one member of each root pair is factored, and the pair's
 contribution is reconstituted as M + M^H (elementwise 2 Re(a M) in the
-all-real case), so there are n/2 tasks.
+all-real case), so there are n/2 pole pairs.
 
-Each task factors its own shifted matrix with the solver that
+Each pair factors its own shifted matrix with the solver that
 linalg._band_path picks once per call.  When A is narrow-banded, _BandLU
 copies the LAPACK band storage that A built once at construction, adds its
 pole to the diagonal row and factors it with gbtrf; otherwise _DenseLU copies
@@ -16,15 +16,13 @@ A's bandwidth (kl, ku) and the number of right-hand sides per pair (d in full
 mode, 1 or 2 in action mode), weighting band flops 2x (factor) and 4x
 (solves) for their lower speed.  ExpResult.bandwidth reports which path ran.
 
-Every pair solves against a right-hand side that already carries its residue,
-and its pair term is added to the sum in place, in ascending order: by the
-pair itself in a serial full-mode run, by the calling thread otherwise.
-Dense pairs run on a thread pool when more than one worker is asked for;
-band pairs run in the calling thread, because scipy's gbtrf/gbtrs wrappers
-hold the GIL.  Results are therefore bit-identical for every thread count;
-t_para reports max over per-task wall times as run (workers and BLAS threads
-share the CPUs, so each task time includes contention), t_total the actual
-wall time.
+The pairs run one after another in the calling thread: scipy's LAPACK
+wrappers (getrf/getrs as well as gbtrf/gbtrs) hold the GIL, so a thread pool
+would not overlap their work.  Every pair solves against a right-hand side
+that already carries its residue, and its pair term is added to the sum in
+place, in ascending order, so results are bit-identical for every thread
+setting.  t_para reports the slowest pair, run alone (it still shares the
+CPUs with the BLAS threads), t_total the wall time of all of them.
 
 Real band input in full mode needs only half the solve work: each pair term
 Re(2 a_k (A + theta_k I)^-1) is symmetric, so the pair solves the lower
@@ -63,8 +61,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +124,12 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 @dataclass(frozen=True)
 class ExpOptions:
-    """How to evaluate: order, full-matrix vs action, shift policy, threads."""
+    """How to evaluate: order, full-matrix vs action, and shift policy.
+
+    parallel and threads are accepted and validated for compatibility, but no
+    longer change how a call runs: every call runs its pole pairs serially in
+    the calling thread (see the module docstring).
+    """
 
     n: int = 16
     mode: str = MODE_FULL
@@ -152,16 +153,13 @@ class ExpOptions:
                 raise BadSpec(f"threads must be >= 1, got {self.threads}")
 
     def worker_count(self, tasks: int) -> int:
-        if not self.parallel:
-            return 1
-        if self.threads == "auto":
-            return max(1, min(tasks, os.cpu_count() or 1))
-        return max(1, min(tasks, self.threads))
+        """The number of threads a call with `tasks` pole pairs runs them on: always 1."""
+        return 1
 
 
 @dataclass(frozen=True)
 class ExpResult:
-    """Value plus certified bound (when available) and task-level timings.
+    """Value plus certified bound (when available) and per-pair timings.
 
     error_bound is the truncation term: it bounds ||exp(A) - R_n(A)||_2 in
     exact arithmetic.  rounding_bound bounds ||value - R_n(A)||_2, the
@@ -174,6 +172,11 @@ class ExpResult:
     factored in LAPACK band storage, None when the dense LU ran.  A full-mode
     value of real input on the band path is exactly symmetric (its upper
     triangle is a copy of the lower one).
+
+    per_term_times[k] is the wall time of pole pair k in both modes: its
+    factor, its solves and the addition of its term into the sum.  The pairs
+    run one after another, so t_para = max(per_term_times) is the slowest
+    pair run alone, and t_total the wall time of all pairs.
     """
 
     value: np.ndarray
@@ -344,23 +347,22 @@ def _rounding_bound(n: int, bounds: SpectralBounds, c: float, d: int, width: flo
 
 
 def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
-    """Shared task fabric: n/2 solves with A + (theta_k - c) I, ordered reduction.
+    """The pair loop: n/2 solves with A + (theta_k - c) I and their ordered sum.
 
-    One body, pair(k), runs every pole pair with the solver that _band_path
-    picks once per call.  It solves against a right-hand side that already
-    carries the residue (2 a_k I or a_k I in full mode; (2 a_k) v, or a_k v
-    and conj(a_k) v with the adjoint solve) and forms Re Y or Y + Y^H.  Full
-    mode solves in column blocks (_solve_blocks): BLOCK_COLUMNS wide, each
-    covering its lower triangle, for real band input, whose sum is mirrored
-    at the end; one block of all d columns otherwise.  A serial full-mode
-    pair adds each block's term to the sum itself, reusing one block buffer
-    (d x d for one block) plus one pair-term buffer for complex input, so its
-    time covers its factor, solves and additions.  Otherwise pair(k) returns
-    its term and the calling thread adds it, from map or pool.map; its time
-    then leaves the addition out.  Either way the terms are added in place,
-    in ascending order, so the sum is the same for every thread count.
+    The pole pairs run one after another in the calling thread, with the
+    solver that _band_path picks once per call.  pair(k) factors A + p_k I,
+    solves against a right-hand side that already carries the residue
+    (2 a_k I or a_k I in full mode; (2 a_k) v, or a_k v and conj(a_k) v with
+    the adjoint solve) and yields Re Y or Y + Y^H with the view of the sum it
+    belongs to.  Full mode solves in column blocks (_solve_blocks):
+    BLOCK_COLUMNS wide, each covering its lower triangle, for real band input,
+    whose sum is mirrored at the end; one block of all d columns otherwise.
+    Every call reuses one block buffer (d x d for one block) plus one
+    pair-term buffer for complex input, and holds one factor at a time: pair
+    k's is freed when its generator ends.  Each term is added in place, in
+    ascending order; a pair's time covers its factor, solves and additions.
 
-    Returns (sum, per-task times, wall time, A.bandwidth or None for dense).
+    Returns (sum, per-pair times, wall time, A.bandwidth or None for dense).
     """
     table = default_table(opts.n)
     poles = table.thetas_f8()[::2] - c
@@ -377,54 +379,40 @@ def _run_tasks(A: HermitianMatrix, v, opts: ExpOptions, c: float):
 
     band = _band_path(A, (1 if real_path else 2) if action else d)
     solver = _BandLU if band else _DenseLU
-    # scipy's gbtrf/gbtrs wrappers hold the GIL: band pairs gain nothing from a pool
-    workers = 1 if band else opts.worker_count(len(poles))
     # real band full mode solves the lower triangle in column blocks and mirrors it
     mirror = band and real_path and not action
     width = BLOCK_COLUMNS if mirror else d
-    serial_full = workers == 1 and not action
     acc = np.empty(d if action else (d, d), dtype=float if real_path else complex, order="F")
-    work = np.empty(d * width, dtype=complex) if serial_full else None
-    pair_buf = np.empty((d, d), dtype=complex, order="F") if serial_full and not real_path else None
-    times = [0.0] * len(poles)
+    work = None if action else np.empty(d * width, dtype=complex)
+    pair_buf = None if action or real_path else np.empty((d, d), dtype=complex, order="F")
 
-    def pair(k: int) -> np.ndarray | None:
-        t0 = time.perf_counter()
+    def pair(k: int):
         a = coeffs[k]
         lu = solver(A, poles[k])
-        if action:
-            if real_path:
-                term = lu.solve((2.0 * a) * v).real
-            else:
-                term = lu.solve(a * v) + lu.solve(np.conj(a) * v, trans=2)
+        if action and real_path:
+            yield acc, lu.solve((2.0 * a) * v).real
+        elif action:
+            yield acc, lu.solve(a * v) + lu.solve(np.conj(a) * v, trans=2)
         else:
             for s, j0, j1, Y in _solve_blocks(lu, d, 2.0 * a if real_path else a, width, work):
                 if real_path:
-                    term = Y.real
+                    yield acc[s:, j0:j1], Y.real
                 else:
-                    term = np.add(Y, np.conjugate(Y.T, out=pair_buf), out=pair_buf)
-                if serial_full:
-                    _accumulate(k, acc[s:, j0:j1], term)
-                    term = None
-        times[k] = time.perf_counter() - t0
-        return term
+                    yield acc[s:, j0:j1], np.add(Y, np.conjugate(Y.T, out=pair_buf), out=pair_buf)
 
+    times = []
     t_start = time.perf_counter()
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for k, term in enumerate((pool.map if pool else map)(pair, range(len(poles)))):
-            if term is not None:
-                _accumulate(k, acc, term)
+    for k in range(len(poles)):
+        t0 = time.perf_counter()
+        for out, term in pair(k):
+            if k == 0:
+                np.copyto(out, term)
+            else:
+                out += term
+        times.append(time.perf_counter() - t0)
     if mirror:
         _mirror_lower(acc)
     return acc, tuple(times), time.perf_counter() - t_start, A.bandwidth if band else None
-
-
-def _accumulate(k: int, out: np.ndarray, term: np.ndarray) -> None:
-    """Add pair k's term into out, a view of the sum; pair 0's term is copied."""
-    if k == 0:
-        np.copyto(out, term)
-    else:
-        out += term
 
 
 def _alpha_lower(A: HermitianMatrix) -> float:

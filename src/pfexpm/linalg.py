@@ -237,7 +237,9 @@ class _BandLU:
 
     Copies A's stored band, adds the pole to its diagonal row and factors it
     once; solve() then runs zgbtrs.  Each instance owns its copy and its
-    factor, so instances on one matrix may be used from different threads.
+    factor.  scipy's zgbtrf/zgbtrs wrappers hold the GIL, so instances used
+    from different threads would not overlap their work; the engine runs its
+    pole pairs in one thread.
     """
 
     def __init__(self, A: HermitianMatrix, pole: complex):
@@ -339,7 +341,7 @@ def shifted_solve(A: HermitianMatrix, theta: complex, V: np.ndarray) -> np.ndarr
     return _factor(A, theta, 1 if R.ndim == 1 else R.shape[1]).solve(R)
 
 
-def _solve_blocks(lu, d: int, scale: complex, width: int, buf: np.ndarray | None):
+def _solve_blocks(lu, d: int, scale: complex, width: int, buf: np.ndarray):
     """Yield (s, j0, j1, Y): Y = rows s.. of the solution for columns [j0, j1) of scale I.
 
     Walks blocks of `width` identity columns, each solved from its
@@ -347,17 +349,14 @@ def _solve_blocks(lu, d: int, scale: complex, width: int, buf: np.ndarray | None
     s.. cover the lower triangle of the block's columns.  buf, a flat complex
     array of at least d * width entries, holds each block's right-hand side
     and then its solution, so each Y is valid only until the next one is
-    yielded; buf=None allocates a new array per block.
+    yielded.
     """
     for j0 in range(0, d, width):
         j1 = min(j0 + width, d)
         s = lu.first_row(j0)
         shape = (d - s, j1 - j0)
-        if buf is None:
-            R = np.zeros(shape, dtype=complex, order="F")
-        else:
-            R = buf[: shape[0] * shape[1]].reshape(shape, order="F")
-            R.fill(0.0)
+        R = buf[: shape[0] * shape[1]].reshape(shape, order="F")
+        R.fill(0.0)
         np.fill_diagonal(R[j0 - s :], scale)
         yield s, j0, j1, lu.solve(R, top=s)
 
@@ -378,7 +377,7 @@ def shifted_inverse(A: HermitianMatrix, theta: complex) -> np.ndarray:
     For real banded A the engine's full-mode solve runs with residue 1: the
     lower triangle is solved in column blocks (_solve_blocks) and mirrored,
     so the result is exactly complex symmetric.  Otherwise one solve runs in
-    place over the whole identity.
+    place over the whole identity, in one d x d complex buffer.
     """
     d = A.d
     lu = _factor(A, theta, d)
@@ -389,7 +388,7 @@ def shifted_inverse(A: HermitianMatrix, theta: complex) -> np.ndarray:
             X[s:, j0:j1] = Y
         _mirror_lower(X)
         return X
-    _, _, _, X = next(_solve_blocks(lu, d, 1.0, d, None))
+    _, _, _, X = next(_solve_blocks(lu, d, 1.0, d, np.empty(d * d, dtype=complex)))
     return X
 
 

@@ -1,6 +1,7 @@
-"""Tests for the parallel R_n(A) engine: reference examples, certified
+"""Tests for the R_n(A) engine: reference examples, certified
 bounds, shift method, thread-count determinism, and spectral properties."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -113,10 +114,16 @@ class TestExpOptions:
             ExpOptions(n=7)
 
     def test_worker_count(self):
-        assert ExpOptions(parallel=False, threads=8).worker_count(8) == 1
-        assert ExpOptions(threads=3).worker_count(8) == 3
-        assert ExpOptions(threads=16).worker_count(4) == 4  # capped by tasks
-        assert ExpOptions(threads="auto").worker_count(8) >= 1
+        """Every call runs its pole pairs in one thread, whatever the options."""
+        for opts in (
+            ExpOptions(parallel=False, threads=8),
+            ExpOptions(threads=3),
+            ExpOptions(threads=16),
+            ExpOptions(threads="auto"),
+            ExpOptions(),
+        ):
+            assert opts.worker_count(8) == 1
+            assert opts.worker_count(4) == 1
 
 
 class TestExpResult:
@@ -810,22 +817,25 @@ class TestBandedPath:
         opts = ExpOptions(n=16, mode=MODE_ACTION, shift="auto")
         assert matexp_action(A, v, opts).bandwidth is None
 
-    def test_band_tasks_run_in_the_calling_thread(self, monkeypatch):
-        """The band wrappers hold the GIL, so the band path never starts a pool;
-        the dense path still does."""
-        import pfexpm.engine as engine
+    def test_no_evaluation_starts_a_thread(self, monkeypatch):
+        """The LAPACK wrappers hold the GIL, so every pole pair runs in the
+        calling thread, on band and dense input, whatever threads says."""
+        import threading
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
+        def no_thread(self):
+            raise AssertionError("thread started")
 
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", no_pool)
-        opts = ExpOptions(n=20, mode=MODE_ACTION, threads=2)
-        v = np.ones(400) / 20.0
-        assert matexp_action(lap2d(20), v, opts).bandwidth == (20, 20)
-        assert matexp_full(lap1d(100), ExpOptions(n=16, threads=2)).bandwidth == (1, 1)
-        entries, _ = _hermitian(3, 40, False, -2.0, 0.0)
-        with pytest.raises(AssertionError, match="thread pool started"):
-            matexp_full(HermitianMatrix(entries), ExpOptions(n=16, shift="auto", threads=2))
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        entries, lam = _hermitian(3, 40, False, -2.0, 0.0)
+        bounds = SpectralBounds(lam.min(), lam.max(), exact=True)
+        band, dense = lap1d(100), HermitianMatrix(entries, bounds=bounds)
+        v = np.ones(100) / 10.0
+        for opts in (ExpOptions(n=16), ExpOptions(n=16, threads=2)):
+            action = dataclasses.replace(opts, mode=MODE_ACTION)
+            assert matexp_full(band, opts).bandwidth == (1, 1)
+            assert matexp_action(band, v, action).bandwidth == (1, 1)
+            assert matexp_full(dense, opts).bandwidth is None
+            assert matexp_action(dense, v[:40], action).bandwidth is None
 
     @pytest.mark.parametrize(
         "make",
@@ -850,30 +860,38 @@ class TestBandedPath:
             allowed = 0.02 * SOLVE_GROWTH * math.sqrt(2.0) * gamma * norm_m
             assert resid <= allowed * np.linalg.norm(X, 2)
 
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_full_mode_memory_per_call(self, complex_):
-        """A band-path matexp_full holds one d x d complex work array, the sum
-        and, for complex input, one pair-term buffer: no identity, slot or
+    def test_complex_band_full_mode_memory_per_call(self):
+        """A complex band-path matexp_full holds the complex sum, one d x d
+        complex block buffer and one pair-term buffer: no identity, slot or
         scaled copy per pole pair."""
         d = 300
-        entries = lap1d(d).entries.astype(complex if complex_ else float)
-        if complex_:  # a small skew-Hermitian imaginary band
-            idx = np.arange(d - 1)
-            entries[idx, idx + 1] += 0.05j
-            entries[idx + 1, idx] -= 0.05j
-            entries[idx, idx] -= 0.1  # keeps the Gershgorin interval <= 0
+        entries = lap1d(d).entries.astype(complex)
+        idx = np.arange(d - 1)  # a small skew-Hermitian imaginary band
+        entries[idx, idx + 1] += 0.05j
+        entries[idx + 1, idx] -= 0.05j
+        entries[idx, idx] -= 0.1  # keeps the Gershgorin interval <= 0
         res, peak = _full_mode_peak(HermitianMatrix(entries), ExpOptions(n=16))
         assert res.bandwidth == (1, 1)
-        assert peak < (4 if complex_ else 2) * 16 * d * d
+        assert peak < 4 * 16 * d * d
 
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    def test_dense_full_mode_memory_per_call(self, complex_):
-        """A serial dense-path matexp_full also holds the complex shifted copy
-        of A that the LU overwrites, and no slot per pole pair."""
+    @pytest.mark.parametrize(
+        "complex_, opts",
+        [
+            (False, ExpOptions(n=16, threads=1)),
+            (True, ExpOptions(n=16, threads=1)),
+            (False, ExpOptions(n=16)),
+            (True, ExpOptions(n=16)),
+        ],
+        ids=["real", "complex", "real-default", "complex-default"],
+    )
+    def test_dense_full_mode_memory_per_call(self, complex_, opts):
+        """A dense-path matexp_full also holds the complex shifted copy of A
+        that the LU overwrites, and no slot per pole pair, for every thread
+        setting."""
         d = 300
         entries, lam = _hermitian(5, d, complex_, -2.0, 0.0)
         A = HermitianMatrix(entries, bounds=SpectralBounds(lam.min(), lam.max(), exact=True))
-        res, peak = _full_mode_peak(A, ExpOptions(n=16, threads=1))
+        res, peak = _full_mode_peak(A, opts)
         assert res.bandwidth is None
         assert peak < (5 if complex_ else 3) * 16 * d * d
 
