@@ -3,6 +3,7 @@ bounds, shift method, thread-count determinism, and spectral properties."""
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -820,7 +821,6 @@ class TestBandedPath:
     def test_no_evaluation_starts_a_thread(self, monkeypatch):
         """The LAPACK wrappers hold the GIL, so every pole pair runs in the
         calling thread, on band and dense input, whatever threads says."""
-        import threading
 
         def no_thread(self):
             raise AssertionError("thread started")
