@@ -1,5 +1,8 @@
 """Benchmark harness: test-matrix generators, scalar and matrix suites, CSV.
 
+`pfexpm bench` and `pfexpm scalar` (cli.py) are the front ends of the two
+suites; scripts/dimension_flatness.py is the one script built on them.
+
 Matrix families
 ---------------
 lap1d   tridiagonal (1, -2, 1) stencil, unscaled (h = 1), spectrum in (-4, 0)
@@ -20,8 +23,9 @@ are present.  Action mode uses the corresponding vector norms.
 Timing: every timed region runs `timing_repeats` times after one discarded
 warm-up, and the median is reported; single-shot wall clocks are too noisy
 for regression gating.  t_seq times the dense eigendecomposition oracle,
-t_para is the engine's max per-task time, t_total its wall time.  All
-durations in BenchRecord are milliseconds, matching the CSV columns.
+t_para is the engine's slowest pole pair run alone (a model of a parallel
+run's critical path, not a measured parallel time), t_total its wall time.
+All durations in BenchRecord are milliseconds, matching the CSV columns.
 
 CSV schema (header exactly):
   family,d,n,mode,shift,seed,trial,error,error_kind,t_seq_ms,t_para_ms,t_total_ms,bound,rounding
@@ -209,13 +213,12 @@ def _run_one(
     n: int,
     mode: str,
     trial: int,
-    threads,
     shift,
     timing_repeats: int,
 ) -> BenchRecord:
     A = gen_matrix(spec, trial)
     v = _unit_vector(spec, trial) if mode == MODE_ACTION else None
-    opts = ExpOptions(n=n, mode=mode, shift=shift, threads=threads)
+    opts = ExpOptions(n=n, mode=mode, shift=shift)
 
     if mode == MODE_ACTION:
         run = lambda: matexp_action(A, v, opts)
@@ -278,15 +281,11 @@ def run_matrix_suite(
     n_list,
     mode: str = MODE_FULL,
     trials: int = 1,
-    threads="auto",
     shift=None,
     timing_repeats: int = 3,
 ) -> list[BenchRecord]:
-    """One BenchRecord per (spec, n, trial); sequential to keep timings honest.
-
-    threads is passed on to ExpOptions, where it is validated but no longer
-    changes how a call runs.
-    """
+    """One BenchRecord per (spec, n, trial), in that nesting order; sequential
+    to keep timings honest."""
     if trials < 1:
         raise BadSpec(f"trials must be >= 1, got {trials}")
     if timing_repeats < 1:
@@ -295,9 +294,7 @@ def run_matrix_suite(
     for spec in spec_list:
         for n in n_list:
             for trial in range(trials):
-                records.append(
-                    _run_one(spec, n, mode, trial, threads, shift, timing_repeats)
-                )
+                records.append(_run_one(spec, n, mode, trial, shift, timing_repeats))
     return records
 
 

@@ -1,9 +1,14 @@
-"""Command-line interface.
+"""Command-line interface: the one front end for the paper's experiments.
 
 Subcommands
 -----------
-bench   generate one benchmark matrix family, run the matrix suite, write CSV
-scalar  scalar error decomposition (max e1/e2/e3 with bounds) over a grid
+bench   run the matrix suite on one family over a list of dimensions and
+        orders: print one table row per record (error, bound, rounding,
+        t_seq, t_para, t_total in ms), write the CSV and, with --plot-out,
+        the gnuplot blocks of bench.emit_plotdata
+scalar  scalar error decomposition (max e1/e2/e3 with bounds) over a grid:
+        print one table row per order and the order that minimizes max e1,
+        write the CSV
 tables  generate, persist, and re-validate root tables
 
 Exit codes: 0 ok, 2 bad arguments (including infeasible configurations),
@@ -26,6 +31,7 @@ from .bench import (
     FAMILY_RANDOM,
     MatrixSpec,
     emit_csv,
+    emit_plotdata,
     emit_scalar_csv,
     run_matrix_suite,
     run_scalar_suite,
@@ -34,13 +40,11 @@ from .engine import MODE_ACTION, MODE_FULL
 from .errors import (
     BadSpec,
     ConditionViolated,
-    InvariantViolation,
     OrderOutOfRange,
     Overflow,
     PfexpmError,
 )
 from .roots import build_table, check_exclusion_regions, load_table, save_table
-from .scalar import DigitModel
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -48,13 +52,13 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _parse_n_list(text: str) -> list[int]:
+def _parse_int_list(text: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--n expects a comma list of ints, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a comma list of ints, got {text!r}")
     if not values:
-        raise argparse.ArgumentTypeError("--n list is empty")
+        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
@@ -82,18 +86,6 @@ def _parse_grid(text: str):
     if not lo <= hi:
         raise argparse.ArgumentTypeError("--grid needs lo <= hi")
     return np.linspace(lo, hi, count)
-
-
-def _parse_threads(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--threads expects an int or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("--threads must be >= 1")
-    return value
 
 
 def _parse_shift(text: str):
@@ -128,31 +120,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run matrix experiments, write a CSV")
     b.add_argument("--family", required=True, choices=FAMILIES)
-    b.add_argument("--d", required=True, type=int, help="matrix dimension")
+    b.add_argument("--d", required=True, type=_parse_int_list, metavar="d1,d2,...",
+                   help="matrix dimensions, run in the order given")
     b.add_argument("--range", type=_parse_range, default=None, metavar="lo:hi",
                    help="spectrum interval (random family only)")
-    b.add_argument("--n", type=_parse_n_list, default=[16], metavar="n1,n2,...")
+    b.add_argument("--n", type=_parse_int_list, default=[16], metavar="n1,n2,...")
     b.add_argument("--mode", choices=(MODE_FULL, MODE_ACTION), default=MODE_FULL)
     b.add_argument("--trials", type=int, default=None,
                    help="rows per (spec, n); default 10 for random, else 1")
-    b.add_argument("--threads", type=_parse_threads, default="auto",
-                   help="accepted for compatibility; no longer changes how a call "
-                   "runs (every pole pair runs in the calling thread)")
     b.add_argument("--seed", type=_parse_seed, default=0)
-    b.add_argument("--digits", type=int, default=16,
-                   help="decimal digits of the float model, must admit every n")
     b.add_argument("--shift", type=_parse_shift, default=None, metavar="{none|auto|c=<real>}")
     b.add_argument("--out", required=True, help="output CSV path")
+    b.add_argument("--plot-out", default=None, metavar="PATH",
+                   help="also write one gnuplot block per (family, n, mode)")
 
     s = sub.add_parser("scalar", help="scalar error decomposition over a grid")
-    s.add_argument("--n", type=_parse_n_list, default=[4, 8, 16, 32], metavar="n1,n2,...")
+    s.add_argument("--n", type=_parse_int_list, default=[4, 8, 16, 32], metavar="n1,n2,...")
     s.add_argument("--grid", type=_parse_grid, default=None, metavar="lo:hi:count",
                    help="evaluation grid, default -100:0:10000")
-    s.add_argument("--digits", type=int, default=16)
+    s.add_argument("--digits", type=int, default=16,
+                   help="working-precision digits D of the route-gap bound m2")
     s.add_argument("--out", required=True, help="output CSV path")
 
     t = sub.add_parser("tables", help="generate and validate root tables")
-    t.add_argument("--n", type=_parse_n_list, required=True, metavar="n1,n2,...")
+    t.add_argument("--n", type=_parse_int_list, required=True, metavar="n1,n2,...")
     t.add_argument("--dir", required=True, help="directory for table files")
     return parser
 
@@ -160,25 +151,43 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_bench(args) -> int:
     if (args.family == FAMILY_RANDOM) != (args.range is not None):
         raise BadSpec("--range is required for --family random and refused otherwise")
-    model = DigitModel(D=args.digits)
-    for n in args.n:
-        model.require(n)
     trials = args.trials
     if trials is None:
         trials = 10 if args.family == FAMILY_RANDOM else 1
-    spec = MatrixSpec(args.family, args.d, args.range, seed=args.seed)
+    specs = [MatrixSpec(args.family, d, args.range, seed=args.seed) for d in args.d]
     records = run_matrix_suite(
-        [spec], args.n, mode=args.mode, trials=trials,
-        threads=args.threads, shift=args.shift,
+        specs, args.n, mode=args.mode, trials=trials, shift=args.shift
     )
+    print(
+        f"{'d':>6} {'n':>4} {'error':>12} {'bound':>12} {'rounding':>12} "
+        f"{'t_seq_ms':>10} {'t_para_ms':>10} {'t_total_ms':>10}"
+    )
+    for r in records:
+        bound = f"{r.bound:.4e}" if r.bound is not None else "-"
+        rounding = f"{r.rounding:.4e}" if r.rounding is not None else "-"
+        print(
+            f"{r.spec.d:>6} {r.n:>4} {r.error:>12.4e} {bound:>12} {rounding:>12} "
+            f"{r.t_seq:>10.2f} {r.t_para:>10.2f} {r.t_total:>10.2f}"
+        )
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
+    if args.plot_out is not None:
+        emit_plotdata(records, args.plot_out)
+        print(f"wrote plot blocks to {args.plot_out}")
     return EXIT_OK
 
 
 def _cmd_scalar(args) -> int:
     grid = args.grid if args.grid is not None else np.linspace(-100.0, 0.0, 10000)
     rows = run_scalar_suite(args.n, grid, D=args.digits)
+    print(f"{'n':>4} {'max_e1':>12} {'max_e2':>12} {'max_e3':>12} {'m1':>12} {'m2':>12}")
+    for r in rows:
+        print(
+            f"{r.n:>4} {r.max_e1:>12.4e} {r.max_e2:>12.4e} {r.max_e3:>12.4e} "
+            f"{r.m1:>12.4e} {r.m2:>12.4e}"
+        )
+    best = min(rows, key=lambda r: r.max_e1)
+    print(f"uniform e1 minimizer: n={best.n} (e1={best.max_e1:.4e})")
     emit_scalar_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -188,9 +197,7 @@ def _cmd_tables(args) -> int:
     os.makedirs(args.dir, exist_ok=True)
     for n in args.n:
         table = build_table(n)
-        report = check_exclusion_regions(table)
-        if not report.parabola_ok:
-            raise InvariantViolation("parabola", f"n={n} margin {report.parabola_margin}")
+        check_exclusion_regions(table)  # raises InvariantViolation on a parabola breach
         path = os.path.join(args.dir, f"pfexpm-table-n{n:02d}.txt")
         save_table(table, path)
         load_table(path)  # parses and re-validates every invariant

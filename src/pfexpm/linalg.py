@@ -58,12 +58,6 @@ __all__ = [
     "shifted_solve",
 ]
 
-# Residual safety factor: solves must satisfy
-# ||(A + theta I) y - v||_2 <= RESIDUAL_FACTOR * d * eps * ||A + theta I||_F * ||y||_2
-RESIDUAL_FACTOR = 10.0
-
-_EPS = float(np.finfo(np.float64).eps)
-
 # Largest asymmetry max |A - A^H| that validation accepts, relative to max(1, max |a_ij|)
 HERMITIAN_TOL = 1e-12
 
@@ -426,9 +420,3 @@ def gershgorin_bounds(A: HermitianMatrix) -> SpectralBounds:
     """
     return A._gershgorin
 
-
-def solve_residual_bound(A: HermitianMatrix, theta: complex, y: np.ndarray) -> float:
-    """Right side of the residual contract for a shifted solve."""
-    M = A.entries + np.asarray(theta, dtype=complex) * np.eye(A.d)
-    normy = float(np.linalg.norm(y))
-    return RESIDUAL_FACTOR * A.d * _EPS * float(np.linalg.norm(M, "fro")) * normy

@@ -423,7 +423,6 @@ def load_table(path: str | os.PathLike) -> RootTable:
 class ExclusionReport:
     """Root-location diagnostics for one table."""
 
-    parabola_ok: bool
     parabola_margin: float  # min over roots of Im^2 - 4(Re + 1)
     szego_max_dev: float  # max over roots of | |(theta/n) e^{1-theta/n}| - 1 |
     szego_min_dev: float
@@ -431,6 +430,9 @@ class ExclusionReport:
 
 def check_exclusion_regions(table: RootTable) -> ExclusionReport:
     """Assert the parabola exclusion and report normalized-root curve proximity.
+
+    Raises InvariantViolation when a root lies inside the parabola, so every
+    report returned has parabola_margin >= 0.
 
     The normalized roots theta/n cluster, as n grows, near the curve
     |z e^{1-z}| = 1; the deviation is returned, not asserted.
@@ -444,7 +446,6 @@ def check_exclusion_regions(table: RootTable) -> ExclusionReport:
     w = thetas / table.n
     dev = np.abs(np.abs(w * np.exp(1.0 - w)) - 1.0)
     return ExclusionReport(
-        parabola_ok=True,
         parabola_margin=margin,
         szego_max_dev=float(dev.max()),
         szego_min_dev=float(dev.min()),

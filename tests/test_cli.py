@@ -64,15 +64,6 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_digit_model_cannot_admit_order(self, tmp_path):
-        # gamma <= n * 10^(1-D) at D=3, n=64: configuration refused up front
-        out = str(tmp_path / "r.csv")
-        code = run(
-            ["bench", "--family", "lap1d", "--d", "8", "--n", "64", "--digits", "3",
-             "--out", out]
-        )
-        assert code == 2
-
     def test_io_error_exit_4(self):
         assert (
             run(["bench", "--family", "lap1d", "--d", "8", "--n", "12",
@@ -136,15 +127,48 @@ class TestBenchCommand:
             assert rec.shift is not None and rec.shift > 0.0
 
     def test_rerun_identical_error_columns(self, tmp_path):
-        # same seed, different thread counts: error and bound columns match
+        # same arguments twice: error and bound columns match
         args = ["bench", "--family", "random", "--d", "12", "--range", "-1:0",
                 "--n", "8,12", "--trials", "3", "--seed", "31"]
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert run(args + ["--threads", "1", "--out", out1]) == 0
-        assert run(args + ["--threads", "8", "--out", out2]) == 0
+        assert run(args + ["--out", out1]) == 0
+        assert run(args + ["--out", out2]) == 0
         a, b = parse_csv(out1), parse_csv(out2)
         assert [(r.error, r.bound) for r in a] == [(r.error, r.bound) for r in b]
         assert [r.t_para for r in a] != [r.t_para for r in b]  # clocks move
+
+    def test_dimension_list_in_order(self, tmp_path, capsys):
+        out = str(tmp_path / "dims.csv")
+        code = run(
+            ["bench", "--family", "lap1d", "--d", "16,25", "--n", "8,12", "--out", out]
+        )
+        assert code == 0
+        recs = parse_csv(out)
+        assert [(r.spec.d, r.n) for r in recs] == [(16, 8), (16, 12), (25, 8), (25, 12)]
+        # one table row per record, between the header and the summary line
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == [
+            "d", "n", "error", "bound", "rounding", "t_seq_ms", "t_para_ms", "t_total_ms"
+        ]
+        assert [tuple(ln.split()[:2]) for ln in lines[1:5]] == [
+            ("16", "8"), ("16", "12"), ("25", "8"), ("25", "12")
+        ]
+        assert lines[5] == f"wrote 4 records to {out}"
+
+    def test_plot_out_one_block_per_family_n_mode(self, tmp_path):
+        out, plot = str(tmp_path / "p.csv"), tmp_path / "p.dat"
+        code = run(
+            ["bench", "--family", "lap1d", "--d", "16,25,36", "--n", "8,12",
+             "--mode", "action", "--out", out, "--plot-out", str(plot)]
+        )
+        assert code == 0
+        blocks = plot.read_text(encoding="utf-8").rstrip("\n").split("\n\n\n")
+        assert [b.splitlines()[0] for b in blocks] == [
+            "# family=lap1d n=8 mode=action",
+            "# family=lap1d n=12 mode=action",
+        ]
+        for b in blocks:
+            assert [ln.split()[0] for ln in b.splitlines()[2:]] == ["16", "25", "36"]
 
 
 class TestScalarCommand:
@@ -165,6 +189,17 @@ class TestScalarCommand:
         assert run(["scalar", "--grid", "0:-5:11", "--out", out]) == 2
         assert run(["scalar", "--grid", "-5:0", "--out", out]) == 2
         assert run(["scalar", "--grid", "-5:0:1", "--out", out]) == 2
+
+    def test_prints_table_and_minimizer(self, tmp_path, capsys):
+        out = str(tmp_path / "s.csv")
+        assert run(["scalar", "--n", "2,4,6,8", "--grid", "-100:0:200", "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["n", "max_e1", "max_e2", "max_e3", "m1", "m2"]
+        assert [ln.split()[0] for ln in lines[1:5]] == ["2", "4", "6", "8"]
+        e1 = {int(ln.split()[0]): float(ln.split()[1]) for ln in lines[1:5]}
+        best = min(e1, key=e1.get)
+        assert lines[5].startswith(f"uniform e1 minimizer: n={best} (e1=")
+        assert lines[6] == f"wrote 4 rows to {out}"
 
     def test_positive_grid_refused(self, tmp_path):
         out = str(tmp_path / "s.csv")

@@ -128,17 +128,6 @@ class TestExpOptions:
 
 
 class TestExpResult:
-    def test_t_para_must_be_max(self):
-        with pytest.raises(InvariantViolation):
-            ExpResult(
-                value=np.eye(2),
-                error_bound=None,
-                bound_kind=None,
-                per_term_times=(1.0, 2.0),
-                t_para=1.0,
-                t_total=3.0,
-            )
-
     def test_bound_and_kind_come_together(self):
         with pytest.raises(InvariantViolation):
             ExpResult(
@@ -146,7 +135,6 @@ class TestExpResult:
                 error_bound=0.5,
                 bound_kind=None,
                 per_term_times=(1.0,),
-                t_para=1.0,
                 t_total=1.0,
             )
         with pytest.raises(InvariantViolation):
@@ -155,7 +143,6 @@ class TestExpResult:
                 error_bound=None,
                 bound_kind="absolute",
                 per_term_times=(1.0,),
-                t_para=1.0,
                 t_total=1.0,
             )
 
@@ -675,7 +662,6 @@ class TestRoundingBound:
                     error_bound=bound,
                     bound_kind=kind,
                     per_term_times=(1.0,),
-                    t_para=1.0,
                     t_total=1.0,
                     rounding_bound=rounding,
                 )
