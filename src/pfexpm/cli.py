@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import (
     BadSpec,
     ConditionViolated,
     OrderOutOfRange,
+    OrderTooSmallWarning,
     Overflow,
     PfexpmError,
 )
@@ -148,6 +150,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_reporting(spec, n, mode, trials, shift):
+    """Run one (d, n) and print one stderr line per uncertified record.
+
+    The line gives the record's OrderTooSmallWarning text; no Python warning
+    is printed.  An uncertified record's runs (warm-up and timed) warn the
+    same number of times, in trial order, and a certified one's never.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OrderTooSmallWarning)
+        records = run_matrix_suite([spec], [n], mode=mode, trials=trials, shift=shift)
+    reasons = [str(w.message) for w in caught if w.category is OrderTooSmallWarning]
+    for w in caught:
+        if w.category is not OrderTooSmallWarning:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    uncertified = [r for r in records if r.bound is None]
+    for i in range(len(uncertified)):
+        reason = reasons[i * len(reasons) // len(uncertified)]
+        print(f"pfexpm: d={spec.d} n={n}: {reason}", file=sys.stderr)
+    return records
+
+
 def _cmd_bench(args) -> int:
     if (args.family == FAMILY_RANDOM) != (args.range is not None):
         raise BadSpec("--range is required for --family random and refused otherwise")
@@ -155,9 +178,10 @@ def _cmd_bench(args) -> int:
     if trials is None:
         trials = 10 if args.family == FAMILY_RANDOM else 1
     specs = [MatrixSpec(args.family, d, args.range, seed=args.seed) for d in args.d]
-    records = run_matrix_suite(
-        specs, args.n, mode=args.mode, trials=trials, shift=args.shift
-    )
+    records = []
+    for spec in specs:
+        for n in args.n:
+            records += _run_reporting(spec, n, args.mode, trials, args.shift)
     print(
         f"{'d':>6} {'n':>4} {'error':>12} {'bound':>12} {'rounding':>12} "
         f"{'t_seq_ms':>10} {'t_para_ms':>10} {'t_total_ms':>10}"

@@ -6,21 +6,31 @@ separation at least 0.29044, and none inside the parabola Im^2 < 4(Re + 1).
 The reciprocal 1/exp_n(-z) then expands as sum_k a_k / (z + theta_k).
 
 Pipeline: binary64 companion-matrix eigenvalues as initial guesses, a short
-vectorized binary64 Newton polish, then per-root Newton in double-double
-arithmetic.  Tables are deterministic bit-for-bit: pairs are stored with the
-Im > 0 member first, the partner is the exact conjugate, and pairs are sorted
-by ascending real part (ties by ascending |Im|).
+vectorized binary64 Newton polish, then Newton on the n/2 guesses with Im > 0
+in _MP, a private mpmath context at a fixed 50 digits.  The global mpmath.mp
+belongs to the caller and is never read or set here.  At 50 digits the
+stored limbs of every root up to n = 64 equal those of a 120-digit Newton
+reference (40 digits leave 22 of the 32 lo limbs at n = 64 wrong: evaluating
+exp_n near its smallest roots cancels about 17 digits).  Tables are
+deterministic bit-for-bit: pairs are stored with the Im > 0 member first, the
+partner is the exact conjugate, and pairs are sorted by ascending real part
+(ties by ascending |Im|).
 
-The coefficients come from the product formula
+The coefficients come from the product formula over the stored roots
   a_k = -n! / prod_{j != k} (theta_k - theta_j).
 The derivative form -1/exp_{n-1}(theta_k) and the power form n!/theta_k^n
 are equal in exact arithmetic; tests/test_roots.py keeps them as
 cross-check references, and the table file records method=product.
 
+Each value is stored as the double-double pair that the table file writes:
+limbs (hi, lo) of complex binary64 numbers with hi = fl(x) and lo = fl(x - hi)
+in each part, so hi is the binary64 rounding of x and save_table/load_table
+round-trip bit-exactly.  to_mp and to_limbs convert between limbs and _MP.
+
 A RootTable is immutable and validated when it is built: every invariant,
-the residual of each root (evaluated once) and R_n(0) = 1 in binary64 are
-checked before the table exists, and its read-only binary64 views are built
-with it, so default_table(n) is one shared, validated table per order.
+the residual of each root (evaluated once, in _MP) and R_n(0) = 1 in binary64
+are checked before the table exists, and its read-only binary64 views are
+built with it, so default_table(n) is one shared, validated table per order.
 """
 
 from __future__ import annotations
@@ -30,14 +40,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
-from .ddreal import (
-    DoubleDouble,
-    DoubleDoubleComplex,
-    format_limb,
-    parse_limb,
-)
 from .errors import (
     InvariantViolation,
     IterationLimitExceeded,
@@ -48,19 +53,29 @@ from .errors import (
 ORDER_MIN = 2
 ORDER_MAX = 64
 
-#: Lower bound on the pairwise distance between roots, valid for all even
+#: Lower bound on the pairwise distance between the roots, valid for all even
 #: orders up to ORDER_MAX.
 SEPARATION = 0.29044
 
 _RESIDUAL_TOL = 1e-10
 _NEWTON_STEPS_F8 = 4
-_NEWTON_STEPS_DD = 5
+_NEWTON_STEPS_MP = 20
+# Newton converges quadratically: after a step below 1e-30 relative the error
+# is far under the 50-digit noise floor, which reaches 1e-37 at n = 64.
+_NEWTON_TOL = 1e-30
 
 _FILE_MAGIC = "pfexpm-table"
 _FILE_VERSION = 1
 _FILE_METHOD = "product"
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Only read, never reconfigured, so sharing it across threads is safe.
+_MP = mpmath.MPContext()
+_MP.dps = 50
+
+#: A stored value: (hi, lo) with hi + lo the value, hi its binary64 rounding.
+Limbs = tuple[complex, complex]
 
 
 def check_order(n: int) -> None:
@@ -72,30 +87,34 @@ def check_order(n: int) -> None:
         )
 
 
+def to_mp(v: Limbs):
+    """The value hi + lo of stored limbs as an _MP complex."""
+    hi, lo = v
+    return _MP.mpc(_MP.mpf(hi.real) + lo.real, _MP.mpf(hi.imag) + lo.imag)
+
+
+def to_limbs(z) -> Limbs:
+    """Split an _MP complex into hi = fl(z) and lo = fl(z - hi), per part."""
+    hi = complex(float(z.real), float(z.imag))
+    return hi, complex(float(z.real - hi.real), float(z.imag - hi.imag))
+
+
+def _conj(v: Limbs) -> Limbs:
+    return v[0].conjugate(), v[1].conjugate()
+
+
 @functools.lru_cache(maxsize=None)
-def _inv_factorials_dd(n: int) -> tuple[DoubleDouble, ...]:
-    return tuple(1 / DoubleDouble.from_int(math.factorial(k)) for k in range(n + 1))
+def _inv_factorials_mp(n: int) -> tuple:
+    return tuple(_MP.one / math.factorial(k) for k in range(n + 1))
 
 
-def eval_trunc_dd(n: int, z: DoubleDoubleComplex) -> DoubleDoubleComplex:
-    """exp_n(z) = sum_{k=0}^n z^k / k! by Horner, in double-double."""
-    inv = _inv_factorials_dd(n)
-    p = DoubleDoubleComplex(inv[n], DoubleDouble(0.0))
+def eval_trunc_mp(n: int, z):
+    """exp_n(z) = sum_{k=0}^n z^k / k! by Horner, in _MP."""
+    inv = _inv_factorials_mp(n)
+    p = inv[n]
     for k in range(n - 1, -1, -1):
         p = p * z + inv[k]
     return p
-
-
-def _pow_dd(z: DoubleDoubleComplex, n: int) -> DoubleDoubleComplex:
-    r = DoubleDoubleComplex(1.0)
-    b = z
-    e = n
-    while e:
-        if e & 1:
-            r = r * b
-        b = b * b
-        e >>= 1
-    return r
 
 
 def _initial_guesses(n: int) -> np.ndarray:
@@ -114,91 +133,71 @@ def _initial_guesses(n: int) -> np.ndarray:
     return guesses
 
 
-def _refine_dd(n: int, z0: complex) -> DoubleDoubleComplex:
-    """Newton iteration in double-double; exp_n' = exp_{n-1} is read off the
-    Horner value as exp_n(z) - z^n/n!."""
-    inv_fact_n = _inv_factorials_dd(n)[n]
-    z = DoubleDoubleComplex.from_complex(z0)
-    best = z
-    best_res2 = math.inf
-    for _ in range(_NEWTON_STEPS_DD):
-        p = eval_trunc_dd(n, z)
-        dp = p - _pow_dd(z, n) * inv_fact_n
-        res2 = p.abs2().hi
-        if res2 < best_res2:
-            best, best_res2 = z, res2
-        if dp.abs2().hi == 0.0:
-            break
-        z = z - p / dp
-    p = eval_trunc_dd(n, z)
-    if p.abs2().hi < best_res2:
-        best = z
-    return best
+def _refine(n: int, z0: complex):
+    """Newton's iteration in _MP from z0; exp_n' = exp_{n-1}."""
+    z = _MP.mpc(z0)
+    for _ in range(_NEWTON_STEPS_MP):
+        step = eval_trunc_mp(n, z) / eval_trunc_mp(n - 1, z)
+        z -= step
+        if abs(step) <= _NEWTON_TOL * abs(z):
+            return z
+    raise IterationLimitExceeded(
+        f"Newton did not converge in {_NEWTON_STEPS_MP} steps for n={n} from {z0}"
+    )
 
 
-def _residual_of(n: int, z: DoubleDoubleComplex) -> tuple[float, float]:
-    """(|exp_n(z)|, |exp_{n-1}(z)|) in binary64, evaluated in double-double."""
-    p = eval_trunc_dd(n, z)
-    dp = eval_trunc_dd(n - 1, z)
-    return math.sqrt(p.abs2().hi), math.sqrt(dp.abs2().hi)
+def _residual_of(n: int, v: Limbs) -> tuple[float, float]:
+    """(|exp_n(z)|, |exp_{n-1}(z)|) in binary64, evaluated in _MP."""
+    z = to_mp(v)
+    return float(abs(eval_trunc_mp(n, z))), float(abs(eval_trunc_mp(n - 1, z)))
 
 
-def compute_roots(n: int) -> list[DoubleDoubleComplex]:
-    """All n roots of exp_n, refined in double-double, in table order."""
+def compute_roots(n: int) -> list[Limbs]:
+    """All n roots of exp_n, refined in _MP, in table order."""
     check_order(n)
-    refined = [_refine_dd(n, complex(g)) for g in _initial_guesses(n)]
-
-    pos = sorted(
-        (z for z in refined if z.im.hi > 0.0),
-        key=lambda z: (z.re.hi, z.im.hi),
-    )
-    neg = sorted(
-        (z for z in refined if z.im.hi < 0.0),
-        key=lambda z: (z.re.hi, -z.im.hi),
-    )
-    if len(pos) != n // 2 or len(neg) != n // 2:
+    guesses = [complex(g) for g in _initial_guesses(n) if g.imag > 0.0]
+    if len(guesses) != n // 2:
         raise IterationLimitExceeded(
-            f"refinement lost the conjugate split for n={n}: "
-            f"{len(pos)} upper vs {len(neg)} lower roots"
+            f"companion eigenvalues lost the conjugate split for n={n}: "
+            f"{len(guesses)} upper roots, expected {n // 2}"
         )
-
-    roots: list[DoubleDoubleComplex] = []
-    for p, q in zip(pos, neg):
-        if abs(p.to_complex() - q.conj().to_complex()) > 0.5 * SEPARATION:
+    upper = []
+    for g in guesses:
+        z = _refine(n, g)
+        if not z.imag > 0:
             raise IterationLimitExceeded(
-                f"conjugate partners failed to match for n={n}"
+                f"refinement lost the conjugate split for n={n}: {g} -> {complex(z)}"
             )
-        rep = DoubleDoubleComplex((p.re + q.re) * 0.5, (p.im - q.im) * 0.5)
-        roots.append(rep)
-        roots.append(rep.conj())
-    return roots
+        upper.append(to_limbs(z))
+    upper.sort(key=lambda v: (v[0].real, v[0].imag))
+    return [v for rep in upper for v in (rep, _conj(rep))]
 
 
-def compute_coeffs(
-    n: int, roots: list[DoubleDoubleComplex]
-) -> list[DoubleDoubleComplex]:
+def compute_coeffs(n: int, roots: list[Limbs]) -> list[Limbs]:
     """Partial-fraction coefficients a_k = -n! / prod_{j != k} (theta_k - theta_j).
 
-    The Im > 0 representative of each pair is computed and the partner is set
-    to its exact conjugate, which enforces conjugate closure bitwise.
+    The Im > 0 representative of each pair is computed in _MP from the stored
+    roots, and the partner is set to its exact conjugate, which enforces
+    conjugate closure bitwise.
     """
     check_order(n)
-    fact_n = DoubleDoubleComplex(DoubleDouble.from_int(math.factorial(n)))
-    coeffs: list[DoubleDoubleComplex] = []
+    zs = [to_mp(v) for v in roots]
+    coeffs: list[Limbs] = []
     for k in range(0, n, 2):
-        rep = roots[k]
-        prod = DoubleDoubleComplex(1.0)
-        for j, other in enumerate(roots):
+        prod = _MP.one
+        for j, other in enumerate(zs):
             if j != k:
-                prod = prod * (rep - other)
-        a = -(fact_n / prod)
-        coeffs.append(a)
-        coeffs.append(a.conj())
+                prod *= zs[k] - other
+        # mpmath has no signed zero: negating the limbs gives the exact zero
+        # real part of the n = 2 residues the sign -0.0 that v1 files record
+        hi, lo = to_limbs(math.factorial(n) / prod)
+        a = (-hi, -lo)
+        coeffs += [a, _conj(a)]
     return coeffs
 
 
 def _read_only(values) -> np.ndarray:
-    out = np.array([z.to_complex() for z in values], dtype=complex)
+    out = np.array([hi for hi, _ in values], dtype=complex)
     out.setflags(write=False)
     return out
 
@@ -207,15 +206,16 @@ def _read_only(values) -> np.ndarray:
 class RootTable:
     """Double-double roots theta_k and coefficients a_k for one even order.
 
-    Construction runs validate_table, so every RootTable satisfies every
-    table invariant; residual is the largest |exp_n(theta_k)| it measured.
-    The binary64 views returned by thetas_f8() and coeffs_f8() are built
-    once, read-only, and shared by every caller.
+    roots and coeffs hold Limbs.  Construction runs validate_table, so every
+    RootTable satisfies every table invariant; residual is the largest
+    |exp_n(theta_k)| it measured.  The binary64 views returned by thetas_f8()
+    and coeffs_f8() are the hi limbs, built once, read-only, and shared by
+    every caller.
     """
 
     n: int
-    roots: tuple[DoubleDoubleComplex, ...]
-    coeffs: tuple[DoubleDoubleComplex, ...]
+    roots: tuple[Limbs, ...]
+    coeffs: tuple[Limbs, ...]
     residual: float = field(init=False)
     _thetas: np.ndarray = field(init=False, compare=False, repr=False)
     _coeffs: np.ndarray = field(init=False, compare=False, repr=False)
@@ -248,40 +248,38 @@ def validate_table(table: RootTable) -> float:
 
     for k in range(0, n, 2):
         rep, mate = table.roots[k], table.roots[k + 1]
-        if rep.im.hi <= 0.0:
+        if rep[0].imag <= 0.0:
             raise InvariantViolation(
-                "pair-order", f"root {k} must have Im > 0, got {rep.to_complex()}"
+                "pair-order", f"root {k} must have Im > 0, got {rep[0]}"
             )
-        if mate != rep.conj():
+        if mate != _conj(rep):
             raise InvariantViolation(
                 "conjugate-closure", f"root {k + 1} is not conj(root {k})"
             )
-        if table.coeffs[k + 1] != table.coeffs[k].conj():
+        if table.coeffs[k + 1] != _conj(table.coeffs[k]):
             raise InvariantViolation(
                 "conjugate-closure", f"coeff {k + 1} is not conj(coeff {k})"
             )
 
     reps = table.roots[::2]
     for a, b in zip(reps, reps[1:]):
-        if (a.re.hi, a.im.hi) >= (b.re.hi, b.im.hi):
+        if (a[0].real, a[0].imag) >= (b[0].real, b[0].imag):
             raise InvariantViolation(
                 "pair-sort", "pairs must ascend by (Re, |Im|)"
             )
 
-    one = DoubleDouble(1.0)
-    n_sq = DoubleDouble(float(n * n))
-    for z in table.roots:
-        if z.im.hi == 0.0:
-            raise InvariantViolation("no-real-root", f"{z.to_complex()} is real")
-        m2 = z.abs2()
-        if m2 < one or n_sq < m2:
+    for v in table.roots:
+        re, im = v[0].real, v[0].imag
+        if im == 0.0:
+            raise InvariantViolation("no-real-root", f"{v[0]} is real")
+        modulus = abs(to_mp(v))
+        if not 1 <= modulus <= n:
             raise InvariantViolation(
-                "modulus", f"|theta|^2={m2.hi} outside [1, {n * n}]"
+                "modulus", f"|theta|={float(modulus)} outside [1, {n}]"
             )
-        re, im = z.re.hi, z.im.hi
         if im * im < 4.0 * (re + 1.0):
             raise InvariantViolation(
-                "parabola", f"{z.to_complex()} inside Im^2 < 4(Re+1)"
+                "parabola", f"{v[0]} inside Im^2 < 4(Re+1)"
             )
 
     thetas, coeffs = table.thetas_f8(), table.coeffs_f8()
@@ -294,12 +292,12 @@ def validate_table(table: RootTable) -> float:
         )
 
     worst = 0.0
-    for z in reps:
-        res, dabs = _residual_of(n, z)
+    for v in reps:
+        res, dabs = _residual_of(n, v)
         if res > _RESIDUAL_TOL * max(1.0, dabs):
             raise InvariantViolation(
                 "residual", f"|exp_n(theta)| = {res:.3e} exceeds "
-                f"{_RESIDUAL_TOL:.0e}*max(1, {dabs:.3e}) at {z.to_complex()}"
+                f"{_RESIDUAL_TOL:.0e}*max(1, {dabs:.3e}) at {v[0]}"
             )
         worst = max(worst, res)
 
@@ -330,29 +328,33 @@ def default_table(n: int) -> RootTable:
 # -- persistence -------------------------------------------------------------
 
 
-def _format_ddc(tag: str, z: DoubleDoubleComplex) -> str:
-    return " ".join(
-        (
-            tag,
-            format_limb(z.re.hi),
-            format_limb(z.re.lo),
-            format_limb(z.im.hi),
-            format_limb(z.im.lo),
-        )
-    )
+def format_limb(x: float) -> str:
+    """Decimal scientific form with 36 significant digits.
+
+    36 digits is far beyond the 17 needed for binary64 round-trip, so
+    float(format_limb(x)) == x bit-for-bit for any finite x.
+    """
+    return f"{x:.35e}"
 
 
-def _parse_ddc(line: str, tag: str, lineno: int) -> DoubleDoubleComplex:
+def parse_limb(s: str) -> float:
+    return float(s)
+
+
+def _format_value(tag: str, v: Limbs) -> str:
+    hi, lo = v
+    return " ".join([tag] + [format_limb(x) for x in (hi.real, lo.real, hi.imag, lo.imag)])
+
+
+def _parse_value(line: str, tag: str, lineno: int) -> Limbs:
     parts = line.split()
     if len(parts) != 5 or parts[0] != tag:
         raise ParseError(f"line {lineno}: expected '{tag} <4 limbs>', got {line!r}")
     try:
-        vals = [parse_limb(p) for p in parts[1:]]
+        re_hi, re_lo, im_hi, im_lo = (parse_limb(p) for p in parts[1:])
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad limb: {exc}") from exc
-    return DoubleDoubleComplex(
-        DoubleDouble(vals[0], vals[1]), DoubleDouble(vals[2], vals[3])
-    )
+    return complex(re_hi, im_hi), complex(re_lo, im_lo)
 
 
 def table_to_text(table: RootTable) -> str:
@@ -361,8 +363,8 @@ def table_to_text(table: RootTable) -> str:
         f"n={table.n}",
         f"method={_FILE_METHOD}",
     ]
-    lines.extend(_format_ddc("theta", z) for z in table.roots)
-    lines.extend(_format_ddc("a", z) for z in table.coeffs)
+    lines.extend(_format_value("theta", z) for z in table.roots)
+    lines.extend(_format_value("a", z) for z in table.coeffs)
     return "\n".join(lines) + "\n"
 
 
@@ -393,8 +395,8 @@ def table_from_text(text: str) -> RootTable:
     body = [ln for ln in lines[3:] if ln.strip()]
     if len(body) != 2 * n:
         raise ParseError(f"expected {2 * n} value lines, found {len(body)}")
-    roots = [_parse_ddc(ln, "theta", i + 4) for i, ln in enumerate(body[:n])]
-    coeffs = [_parse_ddc(ln, "a", i + 4 + n) for i, ln in enumerate(body[n:])]
+    roots = [_parse_value(ln, "theta", i + 4) for i, ln in enumerate(body[:n])]
+    coeffs = [_parse_value(ln, "a", i + 4 + n) for i, ln in enumerate(body[n:])]
     return RootTable(n=n, roots=roots, coeffs=coeffs)
 
 

@@ -9,6 +9,10 @@ uniform error at most 2^-n.  Two evaluation routes are provided:
   views of a validated roots.RootTable (usually default_table(n)), which is
   the route that parallelizes across shifted solves.
 
+eval_reciprocal_mp and eval_pf_mp evaluate the same two routes at a real
+point in the private 50-digit mpmath context of roots.py, the partial
+fractions from the table's stored double-double values; they return an mpf.
+
 The error model splits the observed binary64 error e1 (partial fractions vs
 libm exp, the latter treated as a <= 1 ulp oracle) into the truncation part
 e2 (reciprocal form vs exp) and the decomposition part e3 (the two routes
@@ -29,9 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ddreal import DoubleDouble, DoubleDoubleComplex
 from .errors import ConditionViolated, InvariantViolation, PoleHit
-from .roots import SEPARATION, RootTable, check_order, default_table, eval_trunc_dd
+from .roots import SEPARATION, RootTable, check_order, default_table, eval_trunc_mp, to_mp
 
 __all__ = [
     "GAMMA",
@@ -45,9 +48,9 @@ __all__ = [
     "err_max_location",
     "error_budget",
     "eval_pf",
-    "eval_pf_dd",
+    "eval_pf_mp",
     "eval_reciprocal",
-    "eval_reciprocal_dd",
+    "eval_reciprocal_mp",
     "exp_trunc",
     "series_coefficients",
 ]
@@ -143,23 +146,19 @@ def eval_pf(table: RootTable, z):
     return s if array else float(s)
 
 
-def eval_reciprocal_dd(table: RootTable, x: float) -> DoubleDouble:
-    """R_n(x) at a real point, fully in double-double arithmetic."""
-    w = eval_trunc_dd(table.n, DoubleDoubleComplex(-float(x)))
-    return (DoubleDoubleComplex(1.0) / w).re
+def eval_reciprocal_mp(table: RootTable, x: float):
+    """R_n(x) at a real point, in the extended-precision context of roots."""
+    return 1 / eval_trunc_mp(table.n, -float(x))
 
 
-def eval_pf_dd(table: RootTable, x: float) -> DoubleDouble:
-    """sum_k a_k/(x + theta_k) at a real point, fully in double-double.
+def eval_pf_mp(table: RootTable, x: float):
+    """sum_k a_k/(x + theta_k) at a real point, in the same context.
 
     Ascending index order over all n terms; the imaginary parts cancel to
     the working precision and only the real part is returned.
     """
-    xd = DoubleDoubleComplex(float(x))
-    s = DoubleDoubleComplex(0.0)
-    for theta, a in zip(table.roots, table.coeffs):
-        s = s + a / (xd + theta)
-    return s.re
+    x = float(x)
+    return sum(to_mp(a) / (x + to_mp(t)) for t, a in zip(table.roots, table.coeffs)).real
 
 
 # ----------------------------------------------------------------------

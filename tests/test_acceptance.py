@@ -52,9 +52,9 @@ from pfexpm.scalar import (
     check_fn_inequalities,
     err_max_location,
     eval_pf,
-    eval_pf_dd,
+    eval_pf_mp,
     eval_reciprocal,
-    eval_reciprocal_dd,
+    eval_reciprocal_mp,
     series_coefficients,
 )
 
@@ -157,7 +157,7 @@ def test_criterion_05_partial_fraction_identity_dd():
     for n in range(2, 21, 2):
         table = default_table(n)
         for x in pts:
-            gap = abs(float(eval_pf_dd(table, float(x)) - eval_reciprocal_dd(table, float(x))))
+            gap = abs(float(eval_pf_mp(table, float(x)) - eval_reciprocal_mp(table, float(x))))
             worst = max(worst, gap)
     check(
         "criterion 05: extended-precision route identity <= 1e-20, n <= 20",

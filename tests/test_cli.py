@@ -1,8 +1,13 @@
 """CLI tests: argument surface, exit codes, output artifacts, determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
+
+import pfexpm
 
 from pfexpm import cli
 from pfexpm.bench import CSV_HEADER, parse_csv
@@ -154,6 +159,22 @@ class TestBenchCommand:
             ("16", "8"), ("16", "12"), ("25", "8"), ("25", "12")
         ]
         assert lines[5] == f"wrote 4 records to {out}"
+
+    def test_one_stderr_line_per_uncertified_record(self, tmp_path):
+        # run as a program, so that an escaping Python warning would print
+        src = os.path.dirname(os.path.dirname(pfexpm.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "pfexpm.cli", "bench", "--family", "lap1d",
+             "--d", "16,100", "--n", "8", "--out", str(tmp_path / "w.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stderr.splitlines() == [
+            f"pfexpm: d={d} n=8: n = 8 <= 2*rho = 8.0: bound hypothesis fails"
+            for d in (16, 100)
+        ]
+        assert "runpy" not in out.stderr
 
     def test_plot_out_one_block_per_family_n_mode(self, tmp_path):
         out, plot = str(tmp_path / "p.csv"), tmp_path / "p.dat"

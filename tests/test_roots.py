@@ -3,36 +3,33 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfexpm import roots as R
-from pfexpm.ddreal import DoubleDouble, DoubleDoubleComplex
 from pfexpm.engine import MODE_ACTION, ExpOptions, matexp_action, matexp_full
 from pfexpm.errors import InvariantViolation, OrderOutOfRange, ParseError
 from pfexpm.linalg import HermitianMatrix
 
 
-def dd_abs(z: DoubleDoubleComplex) -> float:
-    return math.sqrt(z.abs2().hi)
-
-
 def coeffs_derivative(n, roots):
-    """Reference formula a_k = -1 / exp_{n-1}(theta_k), conjugate-closed."""
+    """Reference formula a_k = -1 / exp_{n-1}(theta_k) in the table's context."""
     out = []
     for rep in roots[::2]:
-        a = -(DoubleDoubleComplex(1.0) / R.eval_trunc_dd(n - 1, rep))
-        out += [a, a.conj()]
+        a = -1 / R.eval_trunc_mp(n - 1, R.to_mp(rep))
+        out += [a, a.conjugate()]
     return out
 
 
 def coeffs_power(n, roots):
-    """Reference formula a_k = n! / theta_k^n, conjugate-closed."""
-    fact_n = DoubleDoubleComplex(DoubleDouble.from_int(math.factorial(n)))
+    """Reference formula a_k = n! / theta_k^n in the table's context."""
     out = []
     for rep in roots[::2]:
-        a = fact_n / R._pow_dd(rep, n)
-        out += [a, a.conj()]
+        a = math.factorial(n) / R.to_mp(rep) ** n
+        out += [a, a.conjugate()]
     return out
 
 
@@ -41,26 +38,26 @@ class TestSmallOrderValues:
 
     def test_n2_roots_exact(self):
         t = R.build_table(2)
-        assert t.roots[0].to_complex() == complex(-1.0, 1.0)
-        assert t.roots[1].to_complex() == complex(-1.0, -1.0)
+        assert t.roots[0][0] == complex(-1.0, 1.0)
+        assert t.roots[1][0] == complex(-1.0, -1.0)
         # the quadratic 1 + z + z^2/2 has exactly representable roots
-        assert t.roots[0].re.lo == 0.0 and t.roots[0].im.lo == 0.0
+        assert t.roots[0][1] == 0.0
 
     def test_n2_coeffs_exact(self):
         t = R.build_table(2)
-        assert t.coeffs[0].to_complex() == complex(0.0, 1.0)
-        assert t.coeffs[1].to_complex() == complex(0.0, -1.0)
+        assert t.coeffs[0][0] == complex(0.0, 1.0)
+        assert t.coeffs[1][0] == complex(0.0, -1.0)
 
     def test_n2_modulus(self):
         t = R.build_table(2)
         for z in t.roots:
-            assert 1.0 <= dd_abs(z) <= 2.0
+            assert 1.0 <= abs(R.to_mp(z)) <= 2.0
 
     def test_n4_two_conjugate_pairs_with_small_residual(self):
         t = R.build_table(4)
         assert len(t.roots) == 4
-        assert t.roots[1] == t.roots[0].conj()
-        assert t.roots[3] == t.roots[2].conj()
+        assert t.roots[1] == R._conj(t.roots[0])
+        assert t.roots[3] == R._conj(t.roots[2])
         assert t.residual < 1e-10
 
     def test_n4_roots_satisfy_integer_quartic_exactly(self):
@@ -69,8 +66,9 @@ class TestSmallOrderValues:
         from fractions import Fraction
 
         t = R.build_table(4)
-        for z in t.roots:
-            re, im = z.re.to_fraction(), z.im.to_fraction()
+        for hi, lo in t.roots:
+            re = Fraction(hi.real) + Fraction(lo.real)
+            im = Fraction(hi.imag) + Fraction(lo.imag)
             pr, pi = Fraction(24), Fraction(0)  # accumulates the polynomial
             xr, xi = Fraction(1), Fraction(0)  # accumulates z^k
             for c in (24, 12, 4, 1):
@@ -85,10 +83,12 @@ class TestSumIdentity:
     @pytest.mark.parametrize("n", [2, 8, 16, 32, 64])
     def test_sum_a_over_theta_is_one(self, n):
         t = R.default_table(n)
-        s = DoubleDoubleComplex(0.0)
-        for a, z in zip(t.coeffs, t.roots):
-            s = s + a / z
-        assert abs(s.to_complex() - 1.0) < 1e-28
+        # summed from the stored values in the table's context, then rounded
+        # to binary64; the unrounded gap reaches 8e-27 at n = 64, the
+        # condition number sum |a_k/theta_k| ~ 1e7 times the double-double
+        # rounding of the values
+        s = sum(R.to_mp(a) / R.to_mp(z) for a, z in zip(t.coeffs, t.roots))
+        assert abs(complex(s) - 1.0) < 1e-28
 
 
 class TestInvariants:
@@ -100,9 +100,9 @@ class TestInvariants:
     def test_ordering_convention(self, n):
         t = R.default_table(n)
         reps = t.roots[::2]
-        for z in reps:
-            assert z.im.hi > 0.0
-        keys = [(z.re.hi, z.im.hi) for z in reps]
+        for hi, _ in reps:
+            assert hi.imag > 0.0
+        keys = [(hi.real, hi.imag) for hi, _ in reps]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
@@ -126,7 +126,7 @@ class TestInvariants:
     def test_scaled_coefficients_rejected(self):
         # building a RootTable runs validate_table; R_n(0) = 1 catches the scale
         t = R.default_table(8)
-        scaled = [a * DoubleDouble(1.0 + 1e-6) for a in t.coeffs]
+        scaled = [R.to_limbs(R.to_mp(a) * (1.0 + 1e-6)) for a in t.coeffs]
         with pytest.raises(InvariantViolation, match="unit-at-zero"):
             R.RootTable(8, t.roots, scaled)
         with pytest.raises(InvariantViolation, match="unit-at-zero"):
@@ -160,7 +160,7 @@ class TestImmutability:
         assert R.default_table(8) is t
         assert t.thetas_f8() is t.thetas_f8() and t.coeffs_f8() is t.coeffs_f8()
         with pytest.raises(TypeError):
-            t.coeffs[0] = t.coeffs[0] * 2.0
+            t.coeffs[0] = t.coeffs[1]
         with pytest.raises(TypeError):
             t.roots[0] = t.roots[1]
         with pytest.raises(ValueError):
@@ -182,12 +182,11 @@ class TestImmutability:
         full, action = ExpOptions(n=16), ExpOptions(n=16, mode=MODE_ACTION)
         matexp_full(A, full), matexp_action(A, v, action)  # warm-up builds the table
         conversions = []
-        to_complex = DoubleDoubleComplex.to_complex
-        monkeypatch.setattr(
-            DoubleDoubleComplex,
-            "to_complex",
-            lambda self: conversions.append(self) or to_complex(self),
-        )
+        for name in ("to_mp", "to_limbs", "_read_only"):
+            convert = getattr(R, name)
+            monkeypatch.setattr(
+                R, name, lambda v, convert=convert: conversions.append(v) or convert(v)
+            )
         results = [matexp_action(A, v, action) for _ in range(2)]
         results += [matexp_full(A, full) for _ in range(2)]
         assert all(r.error_bound is not None for r in results[2:])
@@ -197,10 +196,7 @@ class TestImmutability:
 class TestCoefficientMethods:
     @staticmethod
     def _rel_gap(xs, ys):
-        return max(
-            math.sqrt((x - y).abs2().hi) / math.sqrt(x.abs2().hi)
-            for x, y in zip(xs, ys)
-        )
+        return max(float(abs(R.to_mp(x) - y) / abs(R.to_mp(x))) for x, y in zip(xs, ys))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_methods_agree_tightly_at_moderate_order(self, n):
@@ -210,9 +206,10 @@ class TestCoefficientMethods:
         assert self._rel_gap(cp, coeffs_power(n, t.roots)) <= 1e-25
 
     def test_methods_agree_at_n32(self):
-        # The double-double noise floor at the smallest-modulus roots of
-        # exp_32 is ~ exp(|theta|) * 2^-104 / |exp_31(theta)| ~ 1e-24;
-        # measured gaps are ~4e-25 (frozen here with margin).
+        # The bound was set for the noise floor of double-double arithmetic,
+        # ~ exp(|theta|) * 2^-104 / |exp_31(theta)| ~ 1e-24 at the
+        # smallest-modulus roots of exp_32.  In the 50-digit context the gaps
+        # come from the double-double rounding of the stored roots: 9e-32.
         t = R.default_table(32)
         cp = R.compute_coeffs(32, t.roots)
         assert list(cp) == list(t.coeffs)
@@ -222,7 +219,7 @@ class TestCoefficientMethods:
     def test_power_formula_n2_by_hand(self):
         # a = 2!/theta^2 with theta = -1+i: theta^2 = -2i, so a = i.
         cw = coeffs_power(2, R.default_table(2).roots)
-        assert cw[0].to_complex() == complex(0.0, 1.0)
+        assert complex(cw[0]) == complex(0.0, 1.0)
 
     def test_unknown_method_rejected(self, tmp_path):
         # only the product formula ships; a file naming another is refused
@@ -278,6 +275,88 @@ class TestBinary64CrossComputation:
         z, a = z[order], a[order]
         assert np.abs(z - th_dd).max() <= root_tol
         assert np.max(np.abs(a - a_dd) / np.abs(a_dd)) <= coeff_tol
+
+
+def _bits(values) -> bytes:
+    """Bytes of binary64 values; + 0.0 only drops the sign of a zero, which
+    mpmath does not carry (the n = 2 residues are -0.0 + 1j and -0.0 - 1j)."""
+    return (np.asarray(values, dtype=complex) + 0.0).tobytes()
+
+
+def _rounded(zs) -> bytes:
+    """_bits of the binary64 roundings of mpmath complex values."""
+    return _bits([complex(float(z.real), float(z.imag)) for z in zs])
+
+
+def _with_partners(upper):
+    return [w for z in upper for w in (z, z.conjugate())]
+
+
+class TestIndependentOracle:
+    """Binary64 views against references computed apart from the builder."""
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 20])
+    def test_polyroots_reference_rounds_to_the_table(self, n):
+        # Durand-Kerner on n! exp_n (integer coefficients) at 60 digits, and
+        # residues from the derivative form -1/exp_{n-1}(theta)
+        ctx = mpmath.MPContext()
+        ctx.dps = 60
+        ints = [math.factorial(n) // math.factorial(k) for k in range(n, -1, -1)]
+        found = ctx.polyroots(ints, maxsteps=200, extraprec=100)
+        upper = sorted((z for z in found if z.imag > 0), key=lambda z: (z.real, z.imag))
+        assert len(upper) == n // 2
+        thetas = _with_partners(upper)
+        coeffs = [-math.factorial(n) / ctx.polyval(ints[1:], z) for z in thetas]
+        t = R.default_table(n)
+        assert _bits(t.thetas_f8()) == _rounded(thetas)
+        assert _bits(t.coeffs_f8()) == _rounded(coeffs)
+
+    @pytest.mark.parametrize("n", [62, 64])
+    def test_newton_reference_rounds_to_the_table(self, n):
+        # Newton at 110 digits from the table's roots, residues from the
+        # derivative form.  The hardest orders: at n = 62 a binary64 guess
+        # lies 0.33 from its root, and near the smallest roots of exp_64 the
+        # evaluation of exp_n cancels about 17 digits.
+        ctx = mpmath.MPContext()
+        ctx.dps = 110
+        inv = [ctx.one / math.factorial(k) for k in range(n, -1, -1)]
+        upper = []
+        for z in R.default_table(n).thetas_f8()[::2]:
+            z = ctx.mpc(z)
+            for _ in range(60):
+                p, dp = ctx.polyval(inv, z, derivative=True)
+                z -= p / dp
+                if abs(p / dp) < 1e-60 * abs(z):  # the next error is below 1e-90
+                    break
+            upper.append(z)
+        thetas = _with_partners(upper)
+        coeffs = [-1 / ctx.polyval(inv[1:], z) for z in thetas]
+        t = R.default_table(n)
+        assert _bits(t.thetas_f8()) == _rounded(thetas)
+        assert _bits(t.coeffs_f8()) == _rounded(coeffs)
+
+    def test_caller_mpmath_precision_left_alone(self):
+        want = R.default_table(16)
+        dps = mpmath.mp.dps
+        try:
+            mpmath.mp.dps = 5
+            t = R.build_table(16)
+            assert mpmath.mp.dps == 5
+        finally:
+            mpmath.mp.dps = dps
+        assert t.thetas_f8().tobytes() == want.thetas_f8().tobytes()
+        assert t.coeffs_f8().tobytes() == want.coeffs_f8().tobytes()
+
+
+class TestLimbFormat:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip_bit_exact(self, x):
+        assert R.parse_limb(R.format_limb(x)) == x
+
+    def test_36_significant_digits(self):
+        s = R.format_limb(1.0 / 3.0)
+        mantissa = s.split("e")[0].replace("-", "").replace(".", "")
+        assert len(mantissa) == 36
 
 
 class TestPersistence:

@@ -342,17 +342,18 @@ class TestFnInequalities:
 
 class TestExtendedPrecisionRoutes:
     def test_routes_agree_to_1e20(self):
-        # partial fractions are an identity; in double-double both routes
-        # reproduce each other far below the 1e-20 contract
+        # partial fractions are an identity; in the 50-digit context of the
+        # tables both routes reproduce each other far below the 1e-20
+        # contract, the stored double-double values limiting the gap
         rng = np.random.default_rng(20260816)
         worst = 0.0
         for n in (2, 8, 14, 20):
             t = R.default_table(n)
             for x in -50.0 * rng.random(25):
-                gap = abs(float(S.eval_reciprocal_dd(t, float(x)) - S.eval_pf_dd(t, float(x))))
+                gap = abs(float(S.eval_reciprocal_mp(t, float(x)) - S.eval_pf_mp(t, float(x))))
                 worst = max(worst, gap)
         assert worst <= 1e-20
-        assert worst <= 1e-27  # measured 2.0e-30; regression guard
+        assert worst <= 1e-27  # measured 3.8e-32; regression guard
 
 
 class TestUniformProperties:
