@@ -1,7 +1,7 @@
 """Benchmark harness: test-matrix generators, scalar and matrix suites, CSV.
 
 `pfexpm bench` and `pfexpm scalar` (cli.py) are the front ends of the two
-suites; scripts/dimension_flatness.py is the one script built on them.
+suites.
 
 Matrix families
 ---------------
@@ -27,12 +27,19 @@ t_para is the engine's slowest pole pair run alone (a model of a parallel
 run's critical path, not a measured parallel time), t_total its wall time.
 All durations in BenchRecord are milliseconds, matching the CSV columns.
 
+err_over_errn divides the error by the truncation term at the lower end lo of
+the engine's spectral interval, in the error's kind: err_n(lo) unshifted,
+e^(c - hi) err_n(lo - c) for a relative error, e^c err_n(lo - c) for the
+absolute error of a shifted run, NaN when that term is 0 or c < lo.  With
+exact bounds it is 1 wherever truncation dominates, whatever d.
+
 CSV schema (header exactly):
-  family,d,n,mode,shift,seed,trial,error,error_kind,t_seq_ms,t_para_ms,t_total_ms,bound,rounding
+  family,d,n,mode,shift,seed,trial,error,error_kind,t_seq_ms,t_para_ms,t_total_ms,bound,rounding,err_over_errn
 Floats are written in scientific notation with 17 significant digits (exact
 binary64 round-trip); `bound` is the truncation term (ExpResult.error_bound)
-and `rounding` the binary64 rounding term (ExpResult.rounding_bound): their
-sum bounds the error.  Both are empty when no certified bound exists and are
+and `rounding` the binary64 rounding term (ExpResult.rounding_bound, possibly
+inf): their sum bounds the error.  Both are empty when no certified bound
+exists, that is when the (shifted) spectral interval reaches above 0, and are
 expressed in the same kind as `error_kind`; `shift` is the applied shift c
 or the literal `none`.  UTF-8, LF endings.
 The spectrum range of the random family is a generator parameter and is not
@@ -61,7 +68,7 @@ from .engine import (
 from .errors import BadSpec, ParseError
 from .linalg import HermitianMatrix, SpectralBounds, exp_oracle, norm2
 from .roots import default_table
-from .scalar import bound_m1, bound_m2, eval_pf, eval_reciprocal
+from .scalar import approx_error, bound_m1, bound_m2, eval_pf, eval_reciprocal
 
 __all__ = [
     "CSV_HEADER",
@@ -87,7 +94,7 @@ FAMILIES = (FAMILY_LAP1D, FAMILY_LAP2D, FAMILY_RANDOM)
 
 CSV_HEADER = (
     "family,d,n,mode,shift,seed,trial,error,error_kind,"
-    "t_seq_ms,t_para_ms,t_total_ms,bound,rounding"
+    "t_seq_ms,t_para_ms,t_total_ms,bound,rounding,err_over_errn"
 )
 
 ERROR_ABSOLUTE = "absolute"
@@ -144,6 +151,7 @@ class BenchRecord:
     t_total: float
     bound: float | None  # truncation term; bound + rounding bounds the error
     rounding: float | None = None  # binary64 rounding term, same kind as bound
+    err_over_errn: float = math.nan  # error / truncation term at lo, same kind
     per_term_times: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -244,11 +252,18 @@ def _run_one(
         err = norm2(res.value - want)
         scale = norm2(want)
 
-    if _reaches_positive(_spectral_interval(A)):
+    interval = _spectral_interval(A)
+    if _reaches_positive(interval):
         kind = ERROR_RELATIVE
         err = err / scale
     else:
         kind = ERROR_ABSOLUTE
+    # the truncation term at lo in the error's kind; none when c < lo
+    c = 0.0 if res.c_applied is None else res.c_applied
+    errn = 0.0
+    if interval.lo <= c:
+        top = interval.hi if kind == ERROR_RELATIVE else 0.0
+        errn = math.exp(c - top) * approx_error(n, interval.lo - c)
 
     bound, rounding = res.error_bound, res.rounding_bound
     if bound is not None and res.bound_kind == "relative" and kind == ERROR_ABSOLUTE:
@@ -272,6 +287,7 @@ def _run_one(
         t_total=t_total,
         bound=bound,
         rounding=rounding,
+        err_over_errn=err / errn if errn > 0.0 else math.nan,
         per_term_times=res.per_term_times,
     )
 
@@ -359,6 +375,7 @@ def emit_csv(records, path) -> None:
                     _fmt(r.t_total),
                     "" if r.bound is None else _fmt(r.bound),
                     "" if r.rounding is None else _fmt(r.rounding),
+                    _fmt(r.err_over_errn),
                 ]
             )
 
@@ -391,6 +408,7 @@ def parse_csv(path) -> list[BenchRecord]:
                     t_total=float(row["t_total_ms"]),
                     bound=None if row["bound"] == "" else float(row["bound"]),
                     rounding=None if row["rounding"] == "" else float(row["rounding"]),
+                    err_over_errn=float(row["err_over_errn"]),
                 )
             )
     return records
@@ -410,8 +428,8 @@ def emit_plotdata(records, path) -> None:
     """Gnuplot-style blocks: one per (family, n, mode), x = d, trial means.
 
     Columns: d, mean error, mean bound (nan when any row is uncertified),
-    mean t_seq_ms, mean t_para_ms, mean t_total_ms.  Blocks are separated by
-    two blank lines for gnuplot's `index` addressing.
+    mean t_seq_ms, mean t_para_ms, mean t_total_ms, mean err_over_errn.
+    Blocks are separated by two blank lines for gnuplot's `index` addressing.
     """
     groups: dict[tuple, dict[int, list[BenchRecord]]] = {}
     for r in records:
@@ -421,7 +439,8 @@ def emit_plotdata(records, path) -> None:
     for (family, n, mode), by_d in sorted(groups.items()):
         lines = [
             f"# family={family} n={n} mode={mode}",
-            "# d mean_error mean_bound mean_t_seq_ms mean_t_para_ms mean_t_total_ms",
+            "# d mean_error mean_bound mean_t_seq_ms mean_t_para_ms mean_t_total_ms "
+            "mean_err_over_errn",
         ]
         for d in sorted(by_d):
             rs = by_d[d]
@@ -434,7 +453,8 @@ def emit_plotdata(records, path) -> None:
             lines.append(
                 f"{d} {_fmt(mean([r.error for r in rs]))} {_fmt(bound)} "
                 f"{_fmt(mean([r.t_seq for r in rs]))} {_fmt(mean([r.t_para for r in rs]))} "
-                f"{_fmt(mean([r.t_total for r in rs]))}"
+                f"{_fmt(mean([r.t_total for r in rs]))} "
+                f"{_fmt(mean([r.err_over_errn for r in rs]))}"
             )
         blocks.append("\n".join(lines))
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -4,8 +4,10 @@ Subcommands
 -----------
 bench   run the matrix suite on one family over a list of dimensions and
         orders: print one table row per record (error, bound, rounding,
-        t_seq, t_para, t_total in ms), write the CSV and, with --plot-out,
-        the gnuplot blocks of bench.emit_plotdata
+        err/err_n(lo), t_seq, t_para, t_total in ms), write the CSV and,
+        with --plot-out, the gnuplot blocks of bench.emit_plotdata; over
+        more than one d, print the flatness over d of each order; print one
+        stderr line per record without a certified bound
 scalar  scalar error decomposition (max e1/e2/e3 with bounds) over a grid:
         print one table row per order and the order that minimizes max e1,
         write the CSV
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import warnings
 
@@ -150,27 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_reporting(spec, n, mode, trials, shift):
-    """Run one (d, n) and print one stderr line per uncertified record.
-
-    The line gives the record's OrderTooSmallWarning text; no Python warning
-    is printed.  An uncertified record's runs (warm-up and timed) warn the
-    same number of times, in trial order, and a certified one's never.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", OrderTooSmallWarning)
-        records = run_matrix_suite([spec], [n], mode=mode, trials=trials, shift=shift)
-    reasons = [str(w.message) for w in caught if w.category is OrderTooSmallWarning]
-    for w in caught:
-        if w.category is not OrderTooSmallWarning:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    uncertified = [r for r in records if r.bound is None]
-    for i in range(len(uncertified)):
-        reason = reasons[i * len(reasons) // len(uncertified)]
-        print(f"pfexpm: d={spec.d} n={n}: {reason}", file=sys.stderr)
-    return records
-
-
 def _cmd_bench(args) -> int:
     if (args.family == FAMILY_RANDOM) != (args.range is not None):
         raise BadSpec("--range is required for --family random and refused otherwise")
@@ -178,12 +160,19 @@ def _cmd_bench(args) -> int:
     if trials is None:
         trials = 10 if args.family == FAMILY_RANDOM else 1
     specs = [MatrixSpec(args.family, d, args.range, seed=args.seed) for d in args.d]
-    records = []
-    for spec in specs:
-        for n in args.n:
-            records += _run_reporting(spec, n, args.mode, trials, args.shift)
+    with warnings.catch_warnings():
+        # reported below, one fixed line per uncertified record
+        warnings.simplefilter("ignore", OrderTooSmallWarning)
+        records = run_matrix_suite(specs, args.n, mode=args.mode, trials=trials, shift=args.shift)
+    for r in records:
+        if r.bound is None:
+            print(
+                f"pfexpm: d={r.spec.d} n={r.n}: no certified bound: "
+                "the spectral interval reaches above 0 (try --shift auto)",
+                file=sys.stderr,
+            )
     print(
-        f"{'d':>6} {'n':>4} {'error':>12} {'bound':>12} {'rounding':>12} "
+        f"{'d':>6} {'n':>4} {'error':>12} {'bound':>12} {'rounding':>12} {'err/err_n':>12} "
         f"{'t_seq_ms':>10} {'t_para_ms':>10} {'t_total_ms':>10}"
     )
     for r in records:
@@ -191,13 +180,20 @@ def _cmd_bench(args) -> int:
         rounding = f"{r.rounding:.4e}" if r.rounding is not None else "-"
         print(
             f"{r.spec.d:>6} {r.n:>4} {r.error:>12.4e} {bound:>12} {rounding:>12} "
-            f"{r.t_seq:>10.2f} {r.t_para:>10.2f} {r.t_total:>10.2f}"
+            f"{r.err_over_errn:>12.4e} {r.t_seq:>10.2f} {r.t_para:>10.2f} {r.t_total:>10.2f}"
         )
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     if args.plot_out is not None:
         emit_plotdata(records, args.plot_out)
         print(f"wrote plot blocks to {args.plot_out}")
+    for n in args.n if len(args.d) > 1 else ():
+        flat = []  # (max - min) / mean of the per-d trial means
+        for col in ("error", "err_over_errn"):
+            per_d = ([getattr(r, col) for r in records if (r.n, r.spec.d) == (n, d)] for d in args.d)
+            means = [statistics.fmean(xs) for xs in per_d]
+            flat.append((max(means) - min(means)) / statistics.fmean(means))
+        print(f"n={n} flatness over d: error {flat[0]:.4g}, err/err_n(lo) {flat[1]:.4g}")
     return EXIT_OK
 
 

@@ -37,11 +37,13 @@ triangles) solve all d columns in one block.
 
 The reported error has two parts, both a priori and O(n) scalar work:
 error_bound is the truncation term, a bound on ||exp(A) - R_n(A)||_2 in exact
-arithmetic (the paper's R_n(-rho) - e^-rho), and rounding_bound bounds
-||value - R_n(A)||_2, the binary64 rounding of the stored poles and residues,
-of the n/2 shifted solves and of the reduction (see _rounding_bound).  Their
-sum bounds the error of the value actually returned.  In action mode both are
-per unit ||v||_2.
+arithmetic: the paper's err_n(-rho) = R_n(-rho) - e^-rho when n > 2 rho, else
+M1 = 2^-n, the uniform error of R_n on the half-line (Cody, Meinardus and
+Varga 1969).  rounding_bound bounds ||value - R_n(A)||_2, the binary64
+rounding of the stored poles and residues, of the n/2 shifted solves and of
+the reduction (see _rounding_bound).  Their sum bounds the error of the value
+actually returned.  In action mode both are per unit ||v||_2.  A call has no
+bound only when its (shifted) spectral interval reaches above 0.
 
 Matrices whose spectrum reaches above 0 go through the shift method
 exp(A) = e^c exp(A - cI) with c >= alpha(A) = max eigenvalue; the reported
@@ -66,13 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadSpec,
-    InvariantViolation,
-    OrderTooSmall,
-    OrderTooSmallWarning,
-    Overflow,
-)
+from .errors import BadSpec, InvariantViolation, OrderTooSmallWarning, Overflow
 from .linalg import (
     BLOCK_COLUMNS,
     HermitianMatrix,
@@ -85,7 +81,7 @@ from .linalg import (
     gershgorin_bounds,
 )
 from .roots import RootTable, check_order, default_table
-from .scalar import approx_error
+from .scalar import approx_error, bound_m1
 
 __all__ = [
     "MODE_ACTION",
@@ -108,8 +104,11 @@ SHIFT_MAX = 709.0
 # are treated as floating fuzz of an exactly-nonpositive spectrum: shifting
 # A by its own Gershgorin end leaves hi ~ eps instead of 0.  The bound then
 # gains an explicit (and utterly negligible) term for the [0, hi] sliver,
-# where exp - R_n still vanishes to order n+1.
+# where exp - R_n still vanishes to order n+1.  That term bounds it only
+# while hi <= SLIVER_MAX (the ratio of the two is about e^(4 hi) / 2 <= 0.75),
+# so the fuzz never exceeds SLIVER_MAX, however wide the interval.
 POSITIVE_FUZZ = 1e-10
+SLIVER_MAX = 0.1
 
 # Growth-factor hypothesis g of the rounding bound: every shifted solve is
 # assumed to leave a residual ||M Y - R||_2 <= g sqrt(2) gamma_{3d+6} ||M|| ||Y||
@@ -166,8 +165,9 @@ class ExpResult:
     exact arithmetic.  rounding_bound bounds ||value - R_n(A)||_2, the
     binary64 rounding of the evaluation.  Both are of kind bound_kind (for a
     shifted run, relative to ||exp(A)||_2; in action mode, per unit ||v||_2)
-    and both are None when the bound hypothesis fails.  Their sum bounds the
-    error of the returned value; error_bound alone does not.
+    and both are None exactly when the (shifted) spectral interval reaches
+    above 0.  Their sum bounds the error of the returned value; error_bound
+    alone does not.  rounding_bound may be inf (see _rounding_bound).
 
     bandwidth reports the solve path: (kl, ku) of A when every pole pair was
     factored in LAPACK band storage, None when the dense LU ran.  A full-mode
@@ -206,19 +206,17 @@ class ExpResult:
 
 
 def apriori_bound(bounds: SpectralBounds, n: int) -> float:
-    """Certified absolute bound err_n(-rho) on ||exp(A) - R_n(A)||_2.
+    """Certified absolute bound on ||exp(A) - R_n(A)||_2 for Spec(A) in [-rho, 0].
 
-    Valid for Hermitian A with Spec(A) inside [-rho, 0], rho = bounds.rho(),
-    provided n > 2 rho; raises OrderTooSmall when that hypothesis fails and
-    BadSpec when the interval reaches above 0.
+    rho = bounds.rho(); A is Hermitian.  The bound is err_n(-rho) when
+    n > 2 rho and M1 = 2^-n, the uniform bound on the half-line, otherwise.
+    Raises BadSpec when the interval reaches above 0.
     """
     check_order(n)
     if bounds.hi > 0.0:
         raise BadSpec(f"spectrum not contained in the left half-line: hi = {bounds.hi}")
     rho = bounds.rho()
-    if not n > 2.0 * rho:
-        raise OrderTooSmall(f"n = {n} <= 2*rho = {2.0 * rho}")
-    return approx_error(n, -rho)
+    return approx_error(n, -rho) if n > 2.0 * rho else bound_m1(n)
 
 
 def _spectral_interval(A: HermitianMatrix) -> SpectralBounds:
@@ -227,8 +225,8 @@ def _spectral_interval(A: HermitianMatrix) -> SpectralBounds:
 
 
 def _reaches_positive(bounds: SpectralBounds) -> bool:
-    """Whether hi lies above 0 by more than POSITIVE_FUZZ * max(1, |lo|)."""
-    return bounds.hi > POSITIVE_FUZZ * max(1.0, abs(bounds.lo))
+    """Whether hi lies above 0 by more than min(POSITIVE_FUZZ max(1, |lo|), SLIVER_MAX)."""
+    return bounds.hi > min(POSITIVE_FUZZ * max(1.0, abs(bounds.lo)), SLIVER_MAX)
 
 
 def _warn_caller(message: str) -> None:
@@ -243,18 +241,15 @@ def _warn_caller(message: str) -> None:
 
 
 def _interval_bound(bounds: SpectralBounds, n: int):
-    """Absolute bound on max |exp - R_n| over [lo, hi], or None + warning."""
+    """Absolute bound on max |exp - R_n| over [lo, hi], or None + warning
+    when the interval reaches above 0."""
     if _reaches_positive(bounds):
         _warn_caller(
             f"spectral upper estimate {bounds.hi:.3e} > 0: no certified bound "
-            "(use the shift method for nonnegative spectra)"
+            "(shift='auto' always has one)"
         )
         return None
-    try:
-        bound = apriori_bound(SpectralBounds(min(bounds.lo, 0.0), min(bounds.hi, 0.0)), n)
-    except OrderTooSmall as exc:
-        _warn_caller(f"{exc}: bound hypothesis fails")
-        return None
+    bound = apriori_bound(SpectralBounds(min(bounds.lo, 0.0), min(bounds.hi, 0.0)), n)
     if bounds.hi > 0.0:
         # sliver [0, hi]: |exp - R_n| ~ hi^(n+1)/(n+1)! there, same leading
         # term as on the negative side; factor 2 dominates the series tail
@@ -323,8 +318,9 @@ def _rounding_bound(
        the Frobenius norm, at a factor width.
 
     In total, sum_k 2|a_k| (u y_k + s_k + eps_f width y_k)
-    + gamma_{n/2-1} width sum_k 2|a_k| (1 + eps_f) y_k.  The result is inf if
-    eta_k >= beta_k for some k, which needs d of order 1e13.  With g = 1 it is
+    + gamma_{n/2-1} width sum_k 2|a_k| (1 + eps_f) y_k.  The result is inf,
+    never NaN, if eta_k >= beta_k for some k, which needs d (rho + |theta_k|)
+    of order 1e15 (at d = 50, a scale of A near 1e13).  With g = 1 it is
     4e-11 to 3e-10 at n = 16 and 7e-9 to 5e-8 at n = 32 for rho = 4 and
     d = 50 to 400, against observed errors near 2e-13; the observed residuals
     on lap1d and random spectra stay below 0.02 gt ||M_k|| ||Y_k||, and those
@@ -461,7 +457,8 @@ def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
         width = 1.0 if v is not None else math.sqrt(A.d)
         rounding = _rounding_bound(table, shifted, c, A.d, width)
     if opts.shift is not None:
-        # the relative bound e^(c - alpha(A)) err_n(-rho'), alpha(A) from below
+        # the relative bound e^(c - alpha(A)) times the truncation term,
+        # alpha(A) from below
         value = math.exp(c) * value
         if bound is not None:
             # fl(e^c) (libm exp within 2u) times each entry adds gamma_3 of
@@ -500,9 +497,10 @@ def matexp_shifted(A: HermitianMatrix, opts: ExpOptions, v=None) -> ExpResult:
     """exp(A) ~ e^c R_n(A - cI) for spectra that are not nonpositive.
 
     shift="auto" takes c = alpha(A) when exact bounds are attached, else the
-    Gershgorin upper end.  The certified bound is relative:
-    e^(c - alpha(A)) * err_n(-rho'), rho' the radius of [lo - c, hi - c],
-    with alpha(A) replaced by a certified lower bound when not exactly known.
+    Gershgorin upper end, and always carries a bound.  The certified bound
+    is relative: e^(c - alpha(A)) times apriori_bound on [lo - c, hi - c]
+    (err_n(-rho') or 2^-n), with alpha(A) replaced by a certified lower bound
+    when not exactly known.
     """
     if opts.shift is None:
         raise BadSpec("matexp_shifted needs shift='auto' or a fixed real shift")

@@ -45,10 +45,6 @@ class ConvergenceFailure(PfexpmError, RuntimeError):
     """The eigensolver did not converge."""
 
 
-class OrderTooSmall(PfexpmError, ValueError):
-    """n <= 2*rho(A): the spectral a priori bound is not applicable."""
-
-
 class Overflow(PfexpmError, OverflowError):
     """A requested shift would overflow exp(c) in binary64."""
 
@@ -58,4 +54,8 @@ class BadSpec(PfexpmError, ValueError):
 
 
 class OrderTooSmallWarning(UserWarning):
-    """n <= 2*rho(A) on a run that proceeds anyway: no certified bound."""
+    """The spectral interval of a run reaches above 0: no certified bound.
+
+    Warned by an unshifted call whose interval (attached or Gershgorin) has a
+    positive upper end, and by a fixed shift c below the interval's top.
+    """

@@ -28,9 +28,10 @@ in each part, so hi is the binary64 rounding of x and save_table/load_table
 round-trip bit-exactly.  to_mp and to_limbs convert between limbs and _MP.
 
 A RootTable is immutable and validated when it is built: every invariant,
-the residual of each root (evaluated once, in _MP) and R_n(0) = 1 in binary64
-are checked before the table exists, and its read-only binary64 views are
-built with it, so default_table(n) is one shared, validated table per order.
+the residual and the Newton step of each root (evaluated once, in _MP) and
+R_n(0) = 1 in binary64 are checked before the table exists, and its
+read-only binary64 views are built with it, so default_table(n) is one
+shared, validated table per order.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ ORDER_MAX = 64
 SEPARATION = 0.29044
 
 _RESIDUAL_TOL = 1e-10
+# Newton step of a stored root, relative to |theta|: a unit roundoff at most
+_STEP_TOL = 2.0**-53
 _NEWTON_STEPS_F8 = 4
 _NEWTON_STEPS_MP = 20
 # Newton converges quadratically: after a step below 1e-30 relative the error
@@ -146,10 +149,12 @@ def _refine(n: int, z0: complex):
     )
 
 
-def _residual_of(n: int, v: Limbs) -> tuple[float, float]:
-    """(|exp_n(z)|, |exp_{n-1}(z)|) in binary64, evaluated in _MP."""
+def _residual_of(n: int, v: Limbs) -> tuple[float, float, float]:
+    """(|exp_n(z)|, |exp_{n-1}(z)|, |Newton step exp_n/exp_{n-1}| / |z|) in
+    binary64, evaluated in _MP.  The step estimates z's distance to the root."""
     z = to_mp(v)
-    return float(abs(eval_trunc_mp(n, z))), float(abs(eval_trunc_mp(n - 1, z)))
+    f, df = eval_trunc_mp(n, z), eval_trunc_mp(n - 1, z)
+    return float(abs(f)), float(abs(df)), float(abs(f / df) / abs(z))
 
 
 def compute_roots(n: int) -> list[Limbs]:
@@ -293,11 +298,15 @@ def validate_table(table: RootTable) -> float:
 
     worst = 0.0
     for v in reps:
-        res, dabs = _residual_of(n, v)
+        res, dabs, step = _residual_of(n, v)
         if res > _RESIDUAL_TOL * max(1.0, dabs):
             raise InvariantViolation(
                 "residual", f"|exp_n(theta)| = {res:.3e} exceeds "
                 f"{_RESIDUAL_TOL:.0e}*max(1, {dabs:.3e}) at {v[0]}"
+            )
+        if step > _STEP_TOL:
+            raise InvariantViolation(
+                "newton-step", f"Newton step {step:.3e}*|theta| > 2^-53*|theta| at {v[0]}"
             )
         worst = max(worst, res)
 

@@ -25,7 +25,7 @@ from pfexpm.bench import (
 from pfexpm.engine import MODE_ACTION, MODE_FULL, ExpOptions, apriori_bound, matexp_full
 from pfexpm.errors import BadSpec, OrderTooSmallWarning, ParseError
 from pfexpm.linalg import SpectralBounds, eig_hermitian, gershgorin_bounds
-from pfexpm.scalar import bound_m1, bound_m2
+from pfexpm.scalar import approx_error, bound_m1, bound_m2
 
 
 class TestMatrixSpec:
@@ -165,9 +165,7 @@ class TestMatrixSuite:
 
     def test_random_shifted_relative(self):
         specs = [MatrixSpec(FAMILY_RANDOM, 25, (0.0, 5.0), seed=3)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OrderTooSmallWarning)
-            recs = run_matrix_suite(specs, [16], trials=2, shift="auto", timing_repeats=1)
+        recs = run_matrix_suite(specs, [16], trials=2, shift="auto", timing_repeats=1)
         for r in recs:
             assert r.error_kind == "relative"
             # exact bounds attached, so the applied shift is alpha itself
@@ -202,6 +200,29 @@ class TestMatrixSuite:
         assert r.rounding == res.rounding_bound * math.exp(1.0)
         assert r.error <= r.bound + r.rounding
 
+    def test_err_over_errn_in_the_error_kind(self):
+        # unshifted, exact lambda_min: the ratio is 1 where truncation dominates
+        spec = MatrixSpec(FAMILY_RANDOM, 20, (-1.0, 0.0), seed=9)
+        (r,) = run_matrix_suite([spec], [8], timing_repeats=1)
+        assert r.err_over_errn == r.error / approx_error(8, gen_matrix(spec).bounds.lo)
+        assert abs(r.err_over_errn - 1.0) < 1e-6
+        # shifted, absolute error: e^c err_n(lo - c) on Gershgorin [-4, 0]
+        (r,) = run_matrix_suite([MatrixSpec(FAMILY_LAP1D, 20)], [16], shift=1.0, timing_repeats=1)
+        assert r.err_over_errn == r.error / (math.exp(1.0) * approx_error(16, -5.0))
+        # relative error: e^(c - hi) err_n(lo - c)
+        spec = MatrixSpec(FAMILY_RANDOM, 20, (0.0, 5.0), seed=3)
+        (r,) = run_matrix_suite([spec], [16], shift="auto", timing_repeats=1)
+        b = gen_matrix(spec).bounds
+        assert r.error_kind == "relative"
+        errn = math.exp(r.shift - b.hi) * approx_error(16, b.lo - r.shift)
+        assert r.err_over_errn == r.error / errn
+        # a fixed shift below lo leaves no truncation term at lo
+        with pytest.warns(OrderTooSmallWarning):
+            (r,) = run_matrix_suite(
+                [MatrixSpec(FAMILY_LAP1D, 20)], [16], shift=-5.0, timing_repeats=1
+            )
+        assert math.isnan(r.err_over_errn)
+
     def test_reproducible_errors(self):
         specs = [MatrixSpec(FAMILY_RANDOM, 20, (-1.0, 0.0), seed=9)]
         a = run_matrix_suite(specs, [8], trials=3, timing_repeats=1)
@@ -233,15 +254,13 @@ class TestCsv:
     def make_records(self):
         specs = [MatrixSpec(FAMILY_LAP1D, 20), MatrixSpec(FAMILY_LAP1D, 40)]
         recs = run_matrix_suite(specs, [12, 16], trials=1, timing_repeats=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OrderTooSmallWarning)
-            recs += run_matrix_suite(
-                [MatrixSpec(FAMILY_RANDOM, 15, (0.0, 3.0), seed=4)],
-                [16],
-                trials=2,
-                shift="auto",
-                timing_repeats=1,
-            )
+        recs += run_matrix_suite(
+            [MatrixSpec(FAMILY_RANDOM, 15, (0.0, 3.0), seed=4)],
+            [16],
+            trials=2,
+            shift="auto",
+            timing_repeats=1,
+        )
         return recs
 
     def test_header_and_roundtrip(self, tmp_path):
@@ -272,22 +291,31 @@ class TestCsv:
     def test_uncertified_bound_serialized_empty(self, tmp_path):
         with pytest.warns(OrderTooSmallWarning):
             recs = run_matrix_suite(
-                [MatrixSpec(FAMILY_LAP2D, 16)], [8], timing_repeats=1
-            )  # Gershgorin rho = 8 >= n/2: bound withheld
+                [MatrixSpec(FAMILY_LAP2D, 16)], [8], shift=-1.0, timing_repeats=1
+            )  # Gershgorin [-8, 0] shifted by c = -1 reaches 1 > 0: bound withheld
         assert recs[0].bound is None
         path = tmp_path / "nobound.csv"
         emit_csv(recs, path)
-        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
+        # bound and rounding are the two columns before err_over_errn
+        assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[-3] == ""
         assert parse_csv(path)[0].bound is None
         assert recs[0].rounding is None
-        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",,")
+        assert path.read_text(encoding="utf-8").splitlines()[1].split(",")[-3:-1] == ["", ""]
         assert parse_csv(path)[0].rounding is None
 
     def test_order_warning_points_at_the_suite_caller(self):
         """The warning names the first frame outside the package, not bench.py."""
         with pytest.warns(OrderTooSmallWarning) as record:
-            run_matrix_suite([MatrixSpec(FAMILY_LAP2D, 16)], [8], timing_repeats=1)
+            run_matrix_suite([MatrixSpec(FAMILY_LAP2D, 16)], [8], shift=-1.0, timing_repeats=1)
         assert record and {w.filename for w in record} == {__file__}
+
+    def test_stiff_input_certified_by_the_uniform_bound(self):
+        # Gershgorin rho = 8 >= n/2 = 4: the bound is M1 = 2^-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (r,) = run_matrix_suite([MatrixSpec(FAMILY_LAP2D, 16)], [8], timing_repeats=1)
+        assert r.bound == 2.0**-8
+        assert r.error <= r.bound + r.rounding
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -313,5 +341,7 @@ class TestCsv:
         assert len(blocks) == 3
         first = blocks[0].splitlines()
         assert first[0] == "# family=lap1d n=12 mode=full"
+        assert first[1].split()[-1] == "mean_err_over_errn"
+        assert float(first[2].split()[-1]) == recs[0].err_over_errn
         # two dimensions, sorted ascending
         assert first[2].startswith("20 ") and first[3].startswith("40 ")

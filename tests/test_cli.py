@@ -153,28 +153,63 @@ class TestBenchCommand:
         # one table row per record, between the header and the summary line
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == [
-            "d", "n", "error", "bound", "rounding", "t_seq_ms", "t_para_ms", "t_total_ms"
+            "d", "n", "error", "bound", "rounding", "err/err_n",
+            "t_seq_ms", "t_para_ms", "t_total_ms",
         ]
         assert [tuple(ln.split()[:2]) for ln in lines[1:5]] == [
             ("16", "8"), ("16", "12"), ("25", "8"), ("25", "12")
         ]
         assert lines[5] == f"wrote 4 records to {out}"
+        # two dimensions: one flatness line per order
+        assert [ln.split(" flatness")[0] for ln in lines[6:]] == ["n=8", "n=12"]
 
     def test_one_stderr_line_per_uncertified_record(self, tmp_path):
-        # run as a program, so that an escaping Python warning would print
+        # run as a program, so that an escaping Python warning would print;
+        # lap1d's Gershgorin [-4, 0] shifted by c = -1 reaches 1 > 0
         src = os.path.dirname(os.path.dirname(pfexpm.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "pfexpm.cli", "bench", "--family", "lap1d",
-             "--d", "16,100", "--n", "8", "--out", str(tmp_path / "w.csv")],
+             "--d", "16,100", "--n", "8", "--shift", "c=-1", "--out", str(tmp_path / "w.csv")],
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stderr.splitlines() == [
-            f"pfexpm: d={d} n=8: n = 8 <= 2*rho = 8.0: bound hypothesis fails"
+            f"pfexpm: d={d} n=8: no certified bound: the spectral interval reaches "
+            "above 0 (try --shift auto)"
             for d in (16, 100)
         ]
         assert "runpy" not in out.stderr
+        # n = 8 <= 2 rho = 8 unshifted: certified by 2^-8, nothing on stderr
+        out = subprocess.run(
+            [sys.executable, "-m", "pfexpm.cli", "bench", "--family", "lap1d",
+             "--d", "16,100", "--n", "8", "--out", str(tmp_path / "m1.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stderr == ""
+        assert [r.bound for r in parse_csv(tmp_path / "m1.csv")] == [2.0**-8] * 2
+
+    def test_flatness_over_d(self, tmp_path, capsys):
+        out, plot = str(tmp_path / "f.csv"), tmp_path / "f.dat"
+        code = run(
+            ["bench", "--family", "random", "--range", "-1:0", "--d", "20,50",
+             "--trials", "3", "--n", "8", "--out", out, "--plot-out", str(plot)]
+        )
+        assert code == 0
+        recs = parse_csv(out)
+        means = {
+            key: [sum(getattr(r, col) for r in recs if r.spec.d == d) / 3 for d in (20, 50)]
+            for key, col in (("error", "error"), ("ratio", "err_over_errn"))
+        }
+        flat = {k: (max(v) - min(v)) / (sum(v) / 2) for k, v in means.items()}
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("n=")]
+        assert line == (
+            f"n=8 flatness over d: error {flat['error']:.4g}, err/err_n(lo) {flat['ratio']:.4g}"
+        )
+        # truncation dominates at n = 8 on [-1, 0]: normalized means are 1, flat
+        assert all(abs(m - 1.0) < 1e-6 for m in means["ratio"]) and flat["ratio"] < 1e-6
+        rows = [ln.split() for ln in plot.read_text(encoding="utf-8").splitlines()[2:]]
+        assert [float(row[-1]) for row in rows] == pytest.approx(means["ratio"], rel=1e-15)
 
     def test_plot_out_one_block_per_family_n_mode(self, tmp_path):
         out, plot = str(tmp_path / "p.csv"), tmp_path / "p.dat"

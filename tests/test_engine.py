@@ -28,7 +28,7 @@ from pfexpm.engine import (
     matexp_full,
     matexp_shifted,
 )
-from pfexpm.errors import BadSpec, InvariantViolation, OrderTooSmall, Overflow
+from pfexpm.errors import BadSpec, InvariantViolation, Overflow
 from pfexpm.errors import OrderTooSmallWarning
 from pfexpm.linalg import (
     HermitianMatrix,
@@ -156,8 +156,9 @@ class TestAprioriBound:
         assert math.isclose(got, 0.0013513280593269172, rel_tol=1e-12)
 
     def test_rho1_n2_order_too_small(self):
-        with pytest.raises(OrderTooSmall):
-            apriori_bound(SpectralBounds(-1.0, 0.0), 2)
+        # n = 2 <= 2 rho: the uniform bound M1 = 2^-n on the half-line
+        assert apriori_bound(SpectralBounds(-1.0, 0.0), 2) == 2.0**-2
+        assert apriori_bound(SpectralBounds(-8.0, -1.0), 16) == 2.0**-16
 
     def test_rho4_n16_below_2_pow_16(self):
         eps = apriori_bound(SpectralBounds(-4.0, 0.0), 16)
@@ -234,13 +235,15 @@ class TestMatexpAction:
         want = exp_oracle(A) @ v
 
         # n = 16 > 2 rho: truncation dominates fp noise and the scalar bound
-        # at the exact radius holds outright (Gershgorin's rho = 8 fails the
-        # order hypothesis, so the engine itself withholds its bound)
-        with pytest.warns(OrderTooSmallWarning):
+        # at the exact radius holds outright; Gershgorin's rho = 8 gives
+        # n <= 2 rho, so the engine reports the uniform bound 2^-16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = matexp_action(A, v, ExpOptions(n=16, mode=MODE_ACTION))
         err = float(np.linalg.norm(res.value - want))
         assert err <= approx_error(16, -rho)
-        assert res.error_bound is None
+        assert res.error_bound == 2.0**-16 and res.bound_kind == "absolute"
+        assert err <= res.error_bound + res.rounding_bound
 
         # n = 32: the scalar bound (~1e-14 at rho ~ 7.96) sinks below the
         # d = 400 solve noise floor, so only an fp-level guard is meaningful
@@ -287,14 +290,15 @@ class TestShifted:
         # spectrum in [0, 20] forces the shift; with exact bounds c = alpha(A)
         # and the observed relative error sits at the scalar level 2^-n
         A = random_spectrum(50, 0.0, 20.0, seed=0)
-        with pytest.warns(OrderTooSmallWarning):
-            res = matexp_shifted(A, ExpOptions(n=32, shift="auto"))
+        res = matexp_shifted(A, ExpOptions(n=32, shift="auto"))
         E = exp_oracle(A)
         rel = norm2(res.value - E) / norm2(E)
         assert rel <= 2.0**-32
-        # n = 32 <= 2 rho' ~ 40: theorem hypothesis fails, bound withheld
-        assert res.error_bound is None and res.bound_kind is None
-        assert res.c_applied == pytest.approx(A.bounds.hi)
+        # n = 32 <= 2 rho' ~ 40: the uniform bound 2^-32, scaled by e^(c - alpha)
+        assert res.c_applied == A.bounds.hi
+        assert res.bound_kind == "relative"
+        assert res.error_bound == 2.0**-32 * math.exp(res.c_applied - A.bounds.hi)
+        assert rel <= res.error_bound + res.rounding_bound
 
     def test_fixed_shift_value_and_bound(self):
         # a needlessly large shift degrades absolute accuracy by e^c, exactly
@@ -428,9 +432,16 @@ class TestSpectralProperties:
         assert err <= res.error_bound
 
     def test_order_too_small_warns_and_withholds_bound(self):
-        A = lap2d(6)  # Gershgorin interval [-8, 0]; n = 16 <= 2*8
-        with pytest.warns(OrderTooSmallWarning):
+        # n <= 2 rho no longer withholds the bound: Gershgorin [-8, 0], n = 16
+        A = lap2d(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = matexp_full(A, ExpOptions(n=16))
+        assert res.error_bound == 2.0**-16 and res.bound_kind == "absolute"
+        assert norm2(res.value - exp_oracle(A)) <= res.error_bound + res.rounding_bound
+        # an interval reaching above 0 still warns and withholds it
+        with pytest.warns(OrderTooSmallWarning):
+            res = matexp_full(HermitianMatrix(A.entries + 0.5 * np.eye(A.d)), ExpOptions(n=16))
         assert res.error_bound is None and res.bound_kind is None
 
     def test_gershgorin_fuzz_keeps_bound(self):
@@ -459,15 +470,18 @@ class TestSpectralProperties:
 
 
 class TestWarningAttribution:
-    @pytest.mark.parametrize("route", ["full", "action", "shifted", "full-shift-auto"])
+    @pytest.mark.parametrize("route", ["full", "action", "shifted", "full-shift-fixed"])
     def test_order_warning_points_at_caller(self, route):
-        A = lap2d(6)  # Gershgorin rho = 8, so n = 16 <= 2 rho
+        # unshifted, P's Gershgorin interval [-7.5, 0.5] reaches above 0; a
+        # fixed shift c = -1 below the top 0 of lap2d's moves it to [-7, 1]
+        A = lap2d(6)
+        P = HermitianMatrix(A.entries + 0.5 * np.eye(A.d))
         v = np.ones(A.d)
         call = {
-            "full": lambda: matexp_full(A, ExpOptions(n=16)),
-            "action": lambda: matexp_action(A, v, ExpOptions(n=16, mode=MODE_ACTION)),
-            "shifted": lambda: matexp_shifted(A, ExpOptions(n=16, shift="auto")),
-            "full-shift-auto": lambda: matexp_full(A, ExpOptions(n=16, shift="auto")),
+            "full": lambda: matexp_full(P, ExpOptions(n=16)),
+            "action": lambda: matexp_action(P, v, ExpOptions(n=16, mode=MODE_ACTION)),
+            "shifted": lambda: matexp_shifted(A, ExpOptions(n=16, shift=-1.0)),
+            "full-shift-fixed": lambda: matexp_full(A, ExpOptions(n=16, shift=-1.0)),
         }[route]
         with pytest.warns(OrderTooSmallWarning) as record:
             call()
@@ -545,13 +559,11 @@ class TestSinglePath:
 
         def run(entry, threads):
             opts = ExpOptions(n=n, mode=mode, shift=shift, threads=threads)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OrderTooSmallWarning)
-                if entry == "shifted":
-                    return matexp_shifted(A, opts, v=v if mode == MODE_ACTION else None)
-                if mode == MODE_ACTION:
-                    return matexp_action(A, v, opts)
-                return matexp_full(A, opts)
+            if entry == "shifted":
+                return matexp_shifted(A, opts, v=v if mode == MODE_ACTION else None)
+            if mode == MODE_ACTION:
+                return matexp_action(A, v, opts)
+            return matexp_full(A, opts)
 
         res = run("plain", 1)
         assert np.array_equal(res.value, run("plain", 2).value)
@@ -570,9 +582,7 @@ class TestSinglePath:
             b_bounds = SpectralBounds(bounds.lo - c, bounds.hi - c, exact=True)
         B = HermitianMatrix(entries - c * np.eye(d), bounds=b_bounds)
         opts = ExpOptions(n=n, mode=mode)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OrderTooSmallWarning)
-            ref = matexp_action(B, v, opts) if mode == MODE_ACTION else matexp_full(B, opts)
+        ref = matexp_action(B, v, opts) if mode == MODE_ACTION else matexp_full(B, opts)
         want = math.exp(c) * ref.value
         assert np.linalg.norm(res.value - want) <= 1e-12 * np.linalg.norm(want)
         if ref.error_bound is None:
@@ -652,8 +662,9 @@ class TestRoundingBound:
         assert r50 < r100 == matexp_full(B, ExpOptions(n=16)).rounding_bound
 
     def test_none_exactly_when_error_bound_none(self):
+        P = HermitianMatrix(lap2d(6).entries + 0.5 * np.eye(36))  # Gershgorin hi = 0.5
         with pytest.warns(OrderTooSmallWarning):
-            res = matexp_full(lap2d(6), ExpOptions(n=16))
+            res = matexp_full(P, ExpOptions(n=16))
         assert res.error_bound is None and res.rounding_bound is None
         for bound, kind, rounding in ((0.5, "absolute", None), (None, None, 0.1)):
             with pytest.raises(InvariantViolation):
@@ -683,12 +694,10 @@ class TestRoundingBound:
         if shift is None and gershgorin_bounds(A).hi > 0.0:
             shift = "auto"
         v = np.random.default_rng(seed + 1).standard_normal(d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OrderTooSmallWarning)
-            if mode == MODE_ACTION:
-                res = matexp_action(A, v, ExpOptions(n=n, mode=mode, shift=shift))
-            else:
-                res = matexp_full(A, ExpOptions(n=n, shift=shift))
+        if mode == MODE_ACTION:
+            res = matexp_action(A, v, ExpOptions(n=n, mode=mode, shift=shift))
+        else:
+            res = matexp_full(A, ExpOptions(n=n, shift=shift))
         assert (res.error_bound is None) == (res.rounding_bound is None)
         if res.error_bound is None:
             return
@@ -698,6 +707,72 @@ class TestRoundingBound:
         if res.bound_kind == "relative":
             err /= math.exp(lam.max())
         assert err <= self.total(res)
+
+
+class TestUnconditionalBound:
+    """A bound exists exactly when the shifted interval lies in (-inf, 0]: the
+    truncation term is err_n(-rho) for n > 2 rho and 2^-n otherwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(1, 40),
+        complex_=st.booleans(),
+        attach=st.booleans(),
+        shift=st.sampled_from([None, "auto"]),
+        mode=st.sampled_from([MODE_FULL, MODE_ACTION]),
+        n=st.sampled_from([8, 12, 16]),
+        rho=st.floats(0.5, 16.0),  # n/2 is 4, 6 or 8
+        top=st.floats(-1.0, 0.5),
+    )
+    def test_bound_present_and_holds(self, seed, d, complex_, attach, shift, mode, n, rho, top):
+        entries, lam = _hermitian(seed, d, complex_, -rho, max(top, -rho))
+        bounds = SpectralBounds(float(lam.min()), float(lam.max()), exact=True) if attach else None
+        A = HermitianMatrix(entries, bounds=bounds)
+        interval = bounds if attach else gershgorin_bounds(A)
+        rng = np.random.default_rng(seed + 1)
+        v = rng.standard_normal(d) + (1j * rng.standard_normal(d) if complex_ else 0.0)
+        opts = ExpOptions(n=n, mode=mode, shift=shift)
+        if shift is None and attach and engine._reaches_positive(interval):
+            with pytest.raises(BadSpec):
+                matexp_full(A, opts) if mode == MODE_FULL else matexp_action(A, v, opts)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = matexp_full(A, opts) if mode == MODE_FULL else matexp_action(A, v, opts)
+        c = 0.0 if res.c_applied is None else res.c_applied
+        shifted = SpectralBounds(interval.lo - c, interval.hi - c)
+        fuzz = min(engine.POSITIVE_FUZZ * max(1.0, abs(shifted.lo)), engine.SLIVER_MAX)
+        assert (res.error_bound is not None) == (shifted.hi <= fuzz)
+        assert bool(caught) == (res.error_bound is None)
+        if shift == "auto":
+            assert res.error_bound is not None
+        if res.error_bound is None:
+            return
+        R = np.eye(d) if mode == MODE_FULL else v
+        err = np.linalg.norm(res.value - exp_oracle(A) @ R, 2) / np.linalg.norm(R, 2)
+        if res.bound_kind == "relative":
+            err /= math.exp(lam.max())
+        assert err <= res.error_bound + res.rounding_bound
+        if shift is None and shifted.hi <= 0.0 and n <= 2.0 * shifted.rho():
+            assert res.error_bound == 2.0**-n
+
+    def test_huge_scale_rounding_bound_inf_not_nan(self):
+        # 4e307 lap1d(50), the largest such scale that validates: Gershgorin
+        # [-1.6e308, 0]; the solves' backward error outgrows every beta_k
+        A = HermitianMatrix(4e307 * lap1d(50).entries)
+        res = matexp_full(A, ExpOptions(n=16))
+        assert np.all(np.isfinite(res.value))
+        assert res.error_bound == 2.0**-16
+        assert res.rounding_bound == math.inf
+
+    def test_sliver_term_needs_a_short_sliver(self):
+        # [-1e12, 50] has hi below 1e-10 |lo|, but [0, 50] is no rounding
+        # sliver: the fuzz stops at SLIVER_MAX and the call is uncertified
+        A = HermitianMatrix(np.diag([-1e12, 50.0]))
+        with pytest.warns(OrderTooSmallWarning):
+            res = matexp_full(A, ExpOptions(n=16))
+        assert res.error_bound is None
 
 
 def _banded(seed: int, d: int, b: int, complex_: bool, lopsided: bool) -> np.ndarray:
@@ -1054,9 +1129,7 @@ class TestOperatorData:
         opts = ExpOptions(n=n, mode=mode, threads=1)
 
         def run():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", OrderTooSmallWarning)
-                return matexp_action(A, v, opts) if v is not None else matexp_full(A, opts)
+            return matexp_action(A, v, opts) if v is not None else matexp_full(A, opts)
 
         res = run()
         with pytest.MonkeyPatch.context() as mp:

@@ -139,6 +139,20 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="pair-order"):
             R.RootTable(8, swap(t.roots), swap(t.coeffs))
 
+    @pytest.mark.parametrize("n", [40, 62])
+    def test_root_hundreds_of_ulps_off_rejected(self, n):
+        # a pair moved 7.6e-13 off its root keeps a residual that the
+        # residual check accepts; its Newton step, 4-6e-14 |theta|, does not
+        t = R.default_table(n)
+        roots = list(t.roots)
+        rep = (roots[2][0] + 7.6e-13, roots[2][1])
+        roots[2:4] = [rep, R._conj(rep)]
+        res, dabs, step = R._residual_of(n, rep)
+        assert res <= R._RESIDUAL_TOL * max(1.0, dabs)
+        assert step > 2.0**-53
+        with pytest.raises(InvariantViolation, match="newton-step"):
+            R.RootTable(n, roots, R.compute_coeffs(n, roots))
+
     def test_each_residual_evaluated_once(self, monkeypatch):
         calls = []
         residual_of = R._residual_of
