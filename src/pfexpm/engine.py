@@ -35,6 +35,17 @@ its lower triangle is bit for bit that of full-width solves.  Dense input
 (whose pivots may move any row) and complex input (Y + Y^H needs both
 triangles) solve all d columns in one block.
 
+Real tridiagonal input in full mode (bandwidth at most (1, 1), an exactly
+symmetric band, on the band path) skips the LU altogether:
+linalg._tridiagonal_pair_sum runs two pivot recurrences per pole, in O(d),
+whose ratios generate each inverse's lower triangle one rank-1 row block at a
+time, and sums all pairs' blocks in one real GEMM per block row, an inner
+product over the n/2 pairs.  Its value is exactly symmetric too, but not bit
+for bit that of the band solves.  The kernel checks the residual it relies on
+(see _rounding_bound) and declines when a pole's pivots have grown too far;
+the call then runs the band LU.  On this path per_term_times[k] is pair k's
+pivot recurrences alone: the shared GEMM sweep counts in t_total only.
+
 The reported error has two parts, both a priori and O(n) scalar work:
 error_bound is the truncation term, a bound on ||exp(A) - R_n(A)||_2 in exact
 arithmetic: the paper's err_n(-rho) = R_n(-rho) - e^-rho when n > 2 rho, else
@@ -76,8 +87,11 @@ from .linalg import (
     _band_path,
     _BandLU,
     _DenseLU,
+    _gamma,
     _mirror_lower,
     _solve_blocks,
+    _tridiagonal,
+    _tridiagonal_pair_sum,
     gershgorin_bounds,
 )
 from .roots import RootTable, check_order, default_table
@@ -167,16 +181,25 @@ class ExpResult:
     shifted run, relative to ||exp(A)||_2; in action mode, per unit ||v||_2)
     and both are None exactly when the (shifted) spectral interval reaches
     above 0.  Their sum bounds the error of the returned value; error_bound
-    alone does not.  rounding_bound may be inf (see _rounding_bound).
+    alone does not.  rounding_bound may be inf (see _rounding_bound), and a
+    shifted run's error_bound is inf too when e^(c - alpha) overflows for
+    the lower estimate of alpha(A) at hand.
 
-    bandwidth reports the solve path: (kl, ku) of A when every pole pair was
-    factored in LAPACK band storage, None when the dense LU ran.  A full-mode
+    bandwidth reports the solve path: (kl, ku) of A when the band path ran
+    (every pole pair factored in LAPACK band storage, or, for real
+    tridiagonal input in full mode, linalg._tridiagonal_pair_sum), None when
+    the dense LU ran.  A full-mode
     value of real input on the band path is exactly symmetric (its upper
     triangle is a copy of the lower one).
 
     per_term_times[k] is the wall time of pole pair k in both modes: its
     factor, its solves and the addition of its term into the sum.  The pairs
-    run one after another, and t_total is the wall time of all of them.
+    run one after another, and t_total is the wall time of all of them.  For
+    real tridiagonal input in full mode (linalg._tridiagonal_pair_sum)
+    per_term_times[k] covers only pair k's pivot recurrences, the work done
+    for that pair alone; the GEMM sweep that builds and sums every pair's
+    inverse at once, most of the call, is in t_total only, so there t_para is
+    no longer a critical path of any parallel schedule.
     """
 
     value: np.ndarray
@@ -257,11 +280,6 @@ def _interval_bound(bounds: SpectralBounds, n: int):
     return bound
 
 
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), the bound on k compounded binary64 roundings."""
-    return k * _U / (1.0 - k * _U)
-
-
 def _rounding_bound(
     table: RootTable, bounds: SpectralBounds, c: float, d: int, width: float
 ) -> float:
@@ -295,7 +313,25 @@ def _rounding_bound(
        solve: its lower triangle solved in column blocks and copied into the
        upper triangle (exact inverses of M_k are complex symmetric), the
        matrix whose real part is summed, and the hypothesis is stated for
-       that Y_k.  Against the exact M_k the residual is at most
+       that Y_k.  For real tridiagonal input in full mode
+       (linalg._tridiagonal_pair_sum) Y_k is the kernel's implicit
+       approximate inverse: the symmetric matrix whose lower triangle the
+       computed g_j and c_i generate, Y[j, j] = g_j, Y[i+1, j] = c_i Y[i, j].
+       Below the diagonal the residual is local: row i of M_k Y_k is
+       b_{i-1} Y[i-1, j] + m_i Y[i, j] + b_i Y[i+1, j], the computed c_i and
+       pivots satisfy their recurrences up to a few roundings each, and the
+       three terms cancel to within a small multiple of u times their
+       moduli, however far the products have run.  The diagonal and the
+       mirrored upper triangle depend on how well g agrees with c, and
+       without pivoting that can drift when pivots grow (on random
+       indefinite tridiagonals at scale 1e6 the residual reached 11 times
+       the hypothesis).  So the kernel measures the two defects that carry
+       that agreement (linalg._defects_small, O(d) per pole) and declines,
+       falling back to the band LU, unless each is within gamma_{3d+6} of
+       its terms' moduli: then every residual entry is within
+       gamma_{3d+6} (|M_k| |Y_k| + I) plus the roundings of the products, a
+       componentwise bound whose normwise form is the hypothesis, as for the
+       LU.  Against the exact M_k the residual is at most
        eta_k ||Y_k|| with
        eta_k = g gt (rho + |theta_k| + phi_k) + phi_k.  Since
        Y_k - X_k R = X_k (M_k Y_k - R) and ||X_k|| <= 1/beta_k,
@@ -305,27 +341,38 @@ def _rounding_bound(
     3. Residues, pair terms and the reduction.  Each pair folds the residue
        into the right-hand side, R' = fl(a' R) with a' = 2 a_k for real input
        and a' = a_k (and conj(a_k) for the adjoint solve) otherwise, and
-       forms Re Y (exact) or Y + Y^H (one addition).  In full mode R = I and
+       forms Re Y (exact) or Y + Y^H (one addition).  The tridiagonal
+       kernel instead multiplies the weight a' = 2 a_k into the prefix
+       products q (one complex product, within sqrt(2) gamma_2 of a' q).
+       In full mode R = I and
        fl(a' 1) = a' is exact.  In action mode R' has entrywise error at most
        sqrt(2) gamma_2 |a'| |v_i|; carried through ||X_k|| <= 1/beta_k, and
        with the solve error s_k ||R'|| <= s_k (1 + sqrt(2) gamma_2) |a'| ||v||,
        the solution is within |a'| ||v|| (s_k + sqrt(2) gamma_2 y_k) of
        a' X_k v.  With eps_f = sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2), the
        terms s_k and eps_f width y_k below cover that and the addition.  Each
-       pair term is formed once, has norm at most 2|a_k| (1 + eps_f) y_k ||R||,
-       and is added once, so the ascending sum of the n/2 pair terms carries
-       gamma_{n/2 - 1} per entry.  Entrywise errors reach the 2-norm through
-       the Frobenius norm, at a factor width.
+       pair term is formed once and has norm at most
+       2|a_k| (1 + eps_f) y_k ||R||.  The reduction is a fused inner product
+       over the n/2 pairs: each entry of the sum is the real part of
+       sum_k a'_k Y_k[i, j], n real products and their sum, which carries
+       gamma_n of the sum of the terms' moduli (|Re x Re y| + |Im x Im y| <=
+       |x| |y|).  The tridiagonal kernel evaluates it so, in one GEMM; the
+       solver loop adds the pair terms in ascending order, with
+       gamma_{n/2 - 1} <= gamma_n per entry.  Entrywise errors reach the
+       2-norm through the Frobenius norm, at a factor width.
 
     In total, sum_k 2|a_k| (u y_k + s_k + eps_f width y_k)
-    + gamma_{n/2-1} width sum_k 2|a_k| (1 + eps_f) y_k.  The result is inf,
+    + gamma_n width sum_k 2|a_k| (1 + eps_f) y_k.  The result is inf,
     never NaN, if eta_k >= beta_k for some k, which needs d (rho + |theta_k|)
     of order 1e15 (at d = 50, a scale of A near 1e13).  With g = 1 it is
     4e-11 to 3e-10 at n = 16 and 7e-9 to 5e-8 at n = 32 for rho = 4 and
     d = 50 to 400, against observed errors near 2e-13; the observed residuals
     on lap1d and random spectra stay below 0.02 gt ||M_k|| ||Y_k||, and those
     of the mirrored solves below 0.003 (lap1d, d = 300) and 0.006 (random
-    real band matrices, d = 200) of it, as for full-width solves.
+    real band matrices, d = 200) of it, as for full-width solves.  The
+    implicit inverses the tridiagonal kernel accepts stayed below 0.06 of it
+    on lap1d (d = 300, scales 1 to 1e6) and below 0.25 on random real
+    tridiagonals (d <= 70, scales 1 to 1e6, with indefinite diagonals).
     """
     theta = table.thetas_f8()[::2]
     a2 = 2.0 * np.abs(table.coeffs_f8()[::2])
@@ -341,7 +388,7 @@ def _rounding_bound(
     y = 1.0 / beta + s
     eps_f = _SQRT2 * _gamma(2) + _U * (1.0 + _SQRT2 * _gamma(2))
     pairs = np.sum(a2 * (_U * y + s + eps_f * width * y))
-    reduction = _gamma(table.n // 2 - 1) * width * np.sum(a2 * (1.0 + eps_f) * y)
+    reduction = _gamma(table.n) * width * np.sum(a2 * (1.0 + eps_f) * y)
     return float(pairs + reduction)
 
 
@@ -361,6 +408,10 @@ def _run_tasks(A: HermitianMatrix, v, table: RootTable, c: float):
     k's is freed when its generator ends.  Each term is added in place, in
     ascending order; a pair's time covers its factor, solves and additions.
 
+    Real tridiagonal input in full mode runs linalg._tridiagonal_pair_sum
+    instead, when linalg._tridiagonal admits A and the kernel does not
+    decline; its per-pair times are the pivot recurrences alone.
+
     Returns (sum, per-pair times, wall time, A.bandwidth or None for dense).
     """
     poles = table.thetas_f8()[::2] - c
@@ -376,6 +427,12 @@ def _run_tasks(A: HermitianMatrix, v, table: RootTable, c: float):
             raise BadSpec("v has non-finite entries")
 
     band = _band_path(A, (1 if real_path else 2) if action else d)
+    t_start = time.perf_counter()
+    tri = _tridiagonal(A, poles) if band and real_path and not action else None
+    if tri is not None:
+        kernel = _tridiagonal_pair_sum(*tri, poles, 2.0 * coeffs)
+        if kernel is not None:
+            return (*kernel, time.perf_counter() - t_start, A.bandwidth)
     solver = _BandLU if band else _DenseLU
     # real band full mode solves the lower triangle in column blocks and mirrors it
     mirror = band and real_path and not action
@@ -399,7 +456,6 @@ def _run_tasks(A: HermitianMatrix, v, table: RootTable, c: float):
                     yield acc[s:, j0:j1], np.add(Y, np.conjugate(Y.T, out=pair_buf), out=pair_buf)
 
     times = []
-    t_start = time.perf_counter()
     for k in range(len(poles)):
         t0 = time.perf_counter()
         for out, term in pair(k):
@@ -464,7 +520,10 @@ def _evaluate(A: HermitianMatrix, v, opts: ExpOptions) -> ExpResult:
             # fl(e^c) (libm exp within 2u) times each entry adds gamma_3 of
             # ||S|| <= ||R_n(A - cI)|| + rounding, R_n <= e^max(hi', 0) + bound
             norm_s = math.exp(max(shifted.hi, 0.0)) + bound + rounding
-            scale = math.exp(c - _alpha_lower(A))
+            try:
+                scale = math.exp(c - _alpha_lower(A))
+            except OverflowError:  # alpha(A) known only to within ~709: both bounds void
+                scale = math.inf
             rounding = scale * (rounding + _gamma(3) * width * norm_s)
             bound, kind = scale * bound, "relative"
     return ExpResult(

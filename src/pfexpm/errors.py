@@ -46,7 +46,8 @@ class ConvergenceFailure(PfexpmError, RuntimeError):
 
 
 class Overflow(PfexpmError, OverflowError):
-    """A requested shift would overflow exp(c) in binary64."""
+    """A value would overflow binary64: exp(c) of a requested shift, or a
+    matrix's Gershgorin interval."""
 
 
 class BadSpec(PfexpmError, ValueError):

@@ -36,16 +36,28 @@ triangle determines it: _solve_blocks walks BLOCK_COLUMNS-wide identity
 blocks, solving each from its first_row, and _mirror_lower copies the
 strict lower triangle into the upper one.  Per pole that is about
 d^2/2 + d (kl + ku + BLOCK_COLUMNS/2) solved column-rows instead of d^2.
+
+A real tridiagonal T needs no LU at all for a sum of inverses
+sum_k Re(w_k (T + p_k I)^-1): _tridiagonal_pair_sum runs two pivot
+recurrences per pole without pivoting (no pivot can vanish while
+Im p_k != 0), reads each inverse's lower triangle off them as rank-1 row
+blocks, and sums the blocks of all poles in one real GEMM per block row.
+It checks the residual of each pole's implicit inverse at O(d) cost and
+returns None, leaving the call to the band LU, when pivot growth spoils it.
+_tridiagonal says which matrices it may take: real, bandwidth at most
+(1, 1), an exactly symmetric band, and pivots that cannot overflow.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgetrf, zgetrs
 
-from .errors import BadSpec, ConvergenceFailure, InvariantViolation, SingularSystem
+from .errors import BadSpec, ConvergenceFailure, InvariantViolation, Overflow, SingularSystem
 
 __all__ = [
     "HermitianMatrix",
@@ -81,6 +93,12 @@ BLOCK_COLUMNS = 32
 # The strict upper triangle of a BLOCK_COLUMNS-wide diagonal block (_mirror_lower)
 _STRICT_UPPER = np.triu(np.ones((BLOCK_COLUMNS, BLOCK_COLUMNS), dtype=bool), 1)
 _STRICT_UPPER.setflags(write=False)
+
+_U = 2.0**-53  # unit roundoff of binary64
+
+# Largest (rho + |p|)^2 / |Im p| for which _tridiagonal_pair_sum evaluates
+# A + p I: it bounds the modulus of every pivot, so that none overflows
+PIVOT_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -163,10 +181,14 @@ class HermitianMatrix:
                     f"diagonal [{diag.min()}, {diag.max()}] is not inside the attached "
                     f"spectral bounds [{self.bounds.lo}, {self.bounds.hi}]"
                 )
-        radii = np.sum(mag, axis=1) - mag.diagonal()
-        gershgorin = SpectralBounds(
-            lo=float(np.min(diag - radii)), hi=float(np.max(diag + radii)), exact=False
-        )
+        with np.errstate(over="ignore"):
+            radii = np.sum(mag, axis=1) - mag.diagonal()
+            lo, hi = float(np.min(diag - radii)), float(np.max(diag + radii))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise Overflow(
+                f"Gershgorin interval [{lo}, {hi}] overflows binary64 (max |a_ij| = {amax:.3e})"
+            )
+        gershgorin = SpectralBounds(lo=lo, hi=hi, exact=False)
         kl, ku = _bandwidth(mag != 0.0)
         d = a.shape[0]
         band = None
@@ -363,6 +385,181 @@ def _mirror_lower(M: np.ndarray) -> None:
         M[j0:j1, j1:] = M[j1:, j0:j1].T
         block = M[j0:j1, j0:j1]
         np.copyto(block, block.T, where=_STRICT_UPPER[: j1 - j0, : j1 - j0])
+
+
+def _tridiagonal(A: HermitianMatrix, poles: np.ndarray):
+    """(diag, off) of A when _tridiagonal_pair_sum may evaluate A + p I for every pole p, else None.
+
+    A must be real, with bandwidth at most (1, 1) and an exactly symmetric
+    band, and (rho + |p|)^2 / |Im p| <= PIVOT_MAX for every pole, rho the
+    radius of A's Gershgorin interval: that bounds every pivot, and every
+    entry of the kernel, below binary64 overflow (see _tridiagonal_pair_sum).
+    diag and off are read-only views of A's entries.
+    """
+    if not A.is_real() or max(A.bandwidth) > 1:
+        return None
+    a = A.entries
+    off = a.diagonal(-1)
+    if not np.array_equal(off, a.diagonal(1)):
+        return None
+    reach = A._gershgorin.rho() + float(np.max(np.abs(poles)))
+    if reach > math.sqrt(PIVOT_MAX * float(np.min(np.abs(poles.imag)))):
+        return None
+    return a.diagonal(), off
+
+
+def _twisted_pivots(m: list, b2: list) -> tuple[list, list]:
+    """Top-down and bottom-up pivots of a complex symmetric tridiagonal M, without pivoting.
+
+    m is M's diagonal and b2 the squares of its off-diagonal, as Python
+    numbers: sigma_0 = m_0, sigma_i = m_i - b2_{i-1} / sigma_{i-1}, and
+    delta_{d-1} = m_{d-1}, delta_i = m_i - b2_i / delta_{i+1}.
+    """
+    d = len(m)
+    sigma, delta = m.copy(), m.copy()
+    s, e = m[0], m[-1]
+    for i in range(1, d):
+        s = sigma[i] = m[i] - b2[i - 1] / s
+    for i in range(d - 2, -1, -1):
+        e = delta[i] = m[i] - b2[i] / e
+    return sigma, delta
+
+
+def _defects_small(m: np.ndarray, off: np.ndarray, g: np.ndarray, c: np.ndarray) -> bool:
+    """Whether every pole's residual defects are within gamma_{3d+6} of their terms.
+
+    Row k of m, g and c holds the diagonal of M = T + p_k I, the diagonal g
+    of its inverse and the ratios c as _tridiagonal_pair_sum computes them,
+    and Y the symmetric matrix whose lower triangle they generate, with
+    subdiagonal s_j = Y[j+1, j] = c_j g_j.  Row j of M Y - I, column j, is
+        f_j = b_{j-1} s_{j-1} + m_j g_j + b_j s_j - 1,
+    and row i of it, in every column j > i, is e_i Y[j, i+1] / g_{i+1} up to
+    the rounding of Y's own entries, with
+        e_i = b_{i-1} s_{i-1} c_i + m_i s_i + b_i g_{i+1}.
+    Both vanish in exact arithmetic.  Each is checked against gamma_{3d+6}
+    times the sum of its terms' moduli (plus 1 for f_j).
+    """
+    d = g.shape[1]
+    tol = _gamma(3 * d + 6)
+    s = c * g[:, :-1]
+    bs = off * s
+    terms = m * g
+    f = terms - 1.0
+    fmag = np.abs(terms) + 1.0
+    for rows in (slice(1, None), slice(None, -1)):  # b_{j-1} s_{j-1} and b_j s_j
+        f[:, rows] += bs
+        fmag[:, rows] += np.abs(bs)
+    if not np.all(np.abs(f) <= tol * fmag):
+        return False
+    t1 = np.zeros_like(s)
+    t1[:, 1:] = bs[:, :-1] * c[:, 1:]
+    t2 = m[:, :-1] * s
+    t3 = off * g[:, 1:]
+    return bool(np.all(np.abs(t1 + t2 + t3) <= tol * (np.abs(t1) + np.abs(t2) + np.abs(t3))))
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the bound on k compounded binary64 roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _tridiagonal_pair_sum(diag: np.ndarray, off: np.ndarray, poles: np.ndarray, weights: np.ndarray):
+    """S = sum_k Re(w_k (T + p_k I)^-1) for the real symmetric tridiagonal T = (diag, off).
+
+    Returns (S, times): S a real, exactly symmetric d x d array, and times[k]
+    the wall time of pole k's pivot recurrences, the only work done for one
+    pole alone; or None when some pole fails the residual check
+    (_defects_small) before the O(d^2) sweep.  Every pole needs
+    Im p_k != 0.  Three steps:
+
+    1. Per pole, the top-down pivots sigma_i and bottom-up pivots delta_i of
+       M = T + p I (_twisted_pivots), in Python numbers (on numpy scalars the
+       loop is about 12x slower), and then, for all poles at once, the
+       diagonal of the inverse g_j = 1 / (sigma_j + delta_j - m_jj) and the
+       ratios c_i = -b_i / delta_{i+1}.  No pivot vanishes: by induction,
+       Im delta_i = Im p + b_i^2 Im delta_{i+1} / |delta_{i+1}|^2 has the sign
+       of Im p and |Im delta_i| >= beta = |Im p|, and so do sigma_i and
+       1 / g_j.  (Equivalently: every principal submatrix of a complex
+       symmetric matrix with definite imaginary part is nonsingular, and
+       the pivots are ratios of such determinants.)  Each delta_i is
+       1 / [(M[i:, i:])^-1]_00, and the spectrum of M[i:, i:] - p I
+       interlaces that of T, so |delta_i| <= (rho + |p|)^2 / beta; the same
+       holds for sigma_i and 1 / g_j, and |c_i| <= rho / beta.  Without
+       pivoting the pivots can still grow, and the diagonal and mirrored
+       upper triangle then leave a large residual; _defects_small measures
+       it, and the kernel declines.
+    2. Rank-1 row blocks.  Below the diagonal, X = M^-1 has
+       X[i+1, j] = c_i X[i, j] for i >= j.  Rows are walked in blocks
+       [r0, r1) of BLOCK_COLUMNS: the block's lower triangle runs down each
+       column from X[j, j] = g_j, one row at a time, and the block row left
+       of it is q (x) X[r0, :r0], q_i = c_r0 ... c_{r0+i-1}, a product of
+       fewer than BLOCK_COLUMNS factors.  Each q_i is a ratio
+       X[r0+i, r0] / X[r0, r0] of entries of the inverse, at most
+       (rho + |p|)^2 / beta^2 in modulus, so no long product under- or
+       overflows.  X[r1, :r1], entries of the inverse, carries to the next
+       block.
+    3. One real GEMM for all poles per block: S[r0:r1, :r0] =
+       Re(W Q)^T Re(Xrow) - Im(W Q)^T Im(Xrow), with W Q the weighted q of
+       every pole, an inner product of 2 len(poles) terms per entry; the
+       diagonal block is the same inner product with the weights.  Then
+       _mirror_lower.
+
+    Work per pole is O(d BLOCK_COLUMNS) instead of a solve with d
+    right-hand sides; the O(d^2) part is the GEMM sweep, shared by all poles.
+    """
+    d, npoles = diag.size, poles.size
+    t, b2 = diag.tolist(), (off * off).tolist()
+    sigma = np.empty((npoles, d), dtype=complex)
+    delta = np.empty((npoles, d), dtype=complex)
+    times = []
+    for k, p in enumerate(poles.tolist()):
+        t0 = time.perf_counter()
+        sigma[k], delta[k] = _twisted_pivots([ti + p for ti in t], b2)
+        times.append(time.perf_counter() - t0)
+    # g = 1 / (sigma + delta - m) and c = -b / delta[1:], in place of the pivots
+    m = diag + poles[:, None]
+    np.add(sigma, delta, out=sigma)
+    sigma -= m
+    g = np.divide(1.0, sigma, out=sigma)
+    c = np.divide(-off, delta[:, 1:], out=delta[:, 1:])
+    if not _defects_small(m, off, g, c):
+        return None
+    del m  # one npoles x d array fewer while the d x d sum is held
+    S = np.empty((d, d), order="F")
+    row = np.empty((npoles, d), dtype=complex, order="F")  # X[r0, :r0] of every pole
+    stack = np.empty((2 * npoles, d))  # its real parts over its imaginary parts
+    buf = np.empty(npoles * BLOCK_COLUMNS**2, dtype=complex)
+    # the diagonal blocks' weighted sum is a real GEMM of Re and Im of the
+    # weights with the blocks' real and imaginary parts, small enough for BLAS
+    # to keep in one thread: OpenBLAS threads the complex GEMV weights @ P,
+    # which doubled the kernel's CPU time at d = 300 for no gain in wall time
+    wparts = np.stack([weights.real, weights.imag])
+    parts = np.empty((2, 2 * BLOCK_COLUMNS**2))
+    for r0 in range(0, d, BLOCK_COLUMNS):
+        r1 = min(r0 + BLOCK_COLUMNS, d)
+        h = r1 - r0
+        P = buf[: npoles * h * h].reshape(npoles, h, h)
+        # the lower triangle of X[r0:r1, r0:r1]: X[i+1, j] = c_i X[i, j] down from g_j
+        P.fill(0.0)
+        P.reshape(npoles, h * h)[:, :: h + 1] = g[:, r0:r1]
+        for i in range(1, h):
+            np.multiply(P[:, i - 1, :i], c[:, r0 + i - 1, None], out=P[:, i, :i])
+        # q[:, i] = c_r0 ... c_{r0+i-1}, so that X[r0+i, :r0] = q_i X[r0, :r0]
+        q = np.ones((npoles, h), dtype=complex)
+        np.cumprod(c[:, r0 : r1 - 1], axis=1, out=q[:, 1:])
+        R = np.matmul(wparts, P.reshape(npoles, h * h).view(float), out=parts[:, : 2 * h * h])
+        S[r0:r1, r0:r1] = (R[0, 0::2] - R[1, 1::2]).reshape(h, h)
+        if r0:
+            wq = weights[:, None] * q
+            np.matmul(np.concatenate([wq.real, -wq.imag]).T, stack[:, :r0], out=S[r0:r1, :r0])
+        if r1 < d:
+            step = c[:, r1 - 1 : r1]
+            row[:, :r0] *= step * q[:, -1:]
+            np.multiply(step, P[:, -1, :], out=row[:, r0:r1])
+            stack[:npoles, :r1] = row[:, :r1].real
+            stack[npoles:, :r1] = row[:, :r1].imag
+    _mirror_lower(S)
+    return S, tuple(times)
 
 
 def shifted_inverse(A: HermitianMatrix, theta: complex) -> np.ndarray:

@@ -285,9 +285,12 @@ def approx_error(n: int, x):
         tail_n(y) = sum_{k>n} y^k/k!,
 
     and the direct difference is used only for y >= n+1, where
-    exp_n(y)*exp(-y) < 1/2 keeps the subtraction benign.  Scalar or ndarray.
+    exp_n(y)*exp(-y) < 1/2 keeps the subtraction benign.  Scalar or ndarray;
+    a Python or numpy float takes the same steps on Python floats.
     """
     check_order(n)
+    if isinstance(x, float):
+        return _approx_error_float(n, x)
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     y = -np.asarray(x, dtype=np.float64)
     if np.any(y < 0.0):
@@ -318,6 +321,35 @@ def approx_error(n: int, x):
         out[near] = s * np.exp(-yn) / p[near]
 
     return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
+def _approx_error_float(n: int, x: float) -> float:
+    """approx_error for one float: the array route's steps on Python floats.
+
+    exp is numpy's, as in the array route: libm's differs from it by an ulp
+    at some points, which the subtraction for y >= n+1 can amplify.
+    """
+    y = -x
+    if y < 0.0:
+        raise ValueError("x must be <= 0")
+    c = _inv_factorials(n)
+    p = y * 0 + c[n]  # exp_trunc(n, y)
+    for k in range(n - 1, -1, -1):
+        p = p * y + c[k]
+    if y >= n + 1.0:
+        return 1.0 / p - float(np.exp(-y))
+    t = 1.0
+    for k in range(1, n + 2):
+        t = t * y / k
+    s = t
+    k = n + 1
+    while True:
+        k += 1
+        t = t * y / k
+        s = s + t
+        if t <= 1e-20 * s or k > n + 200:
+            break
+    return s * float(np.exp(-y)) / p
 
 
 def err_max_location(n: int, tol: float = 1e-10) -> tuple[float, float]:

@@ -957,23 +957,24 @@ class TestBandedPath:
         assert peak < (5 if complex_ else 3) * 16 * d * d
 
     def test_real_band_full_mode_memory_per_call(self):
-        """Real band full mode holds the real sum and one d x BLOCK_COLUMNS
-        complex block buffer: no d x d complex work array."""
+        """Real tridiagonal full mode holds the real sum and O(n d
+        BLOCK_COLUMNS) work arrays of the kernel: no d x d complex array."""
         d = 300
         res, peak = _full_mode_peak(lap1d(d), ExpOptions(n=16))
         assert res.bandwidth == (1, 1)
         assert peak < 1.6 * 8 * d * d
 
 
-def _pair_sum_reference(A, n, solver):
+def _pair_sum_reference(A, n, solver, c=0.0):
     """The ascending sum of the pole pairs' terms, each from one full-width solve.
 
-    solver is _BandLU or _DenseLU.  A pair term is Re Y with Y solved against
-    2 a_k I for real A, and Y + Y^H with Y solved against a_k I otherwise.
+    solver is _BandLU or _DenseLU, and the poles are theta_k - c.  A pair
+    term is Re Y with Y solved against 2 a_k I for real A, and Y + Y^H with Y
+    solved against a_k I otherwise.
     """
     table = default_table(n)
     ref = None
-    for theta, a in zip(table.thetas_f8()[::2], table.coeffs_f8()[::2]):
+    for theta, a in zip(table.thetas_f8()[::2] - c, table.coeffs_f8()[::2]):
         R = np.zeros((A.d, A.d), dtype=complex, order="F")
         np.fill_diagonal(R, 2.0 * a if A.is_real() else a)
         Y = solver(A, theta).solve(R)
@@ -998,14 +999,19 @@ class TestFullModeSum:
     )
     @pytest.mark.parametrize("n", [12, 16])
     def test_real_band_is_symmetric_lower_triangle_of_full_solves(self, make, n):
+        """Bit for bit for b >= 2; tridiagonal input runs
+        linalg._tridiagonal_pair_sum instead, within the rounding bound."""
         A = make()
         assert A.is_real() and linalg._band_path(A, A.d)
         res = matexp_full(A, ExpOptions(n=n))
         assert res.bandwidth == A.bandwidth
         assert np.array_equal(res.value, res.value.T)
         ref = _pair_sum_reference(A, n, linalg._BandLU)
-        lower = np.tril_indices(A.d)
-        assert res.value[lower].tobytes() == ref[lower].tobytes()
+        if max(A.bandwidth) <= 1:
+            assert np.linalg.norm(res.value - ref, 2) <= res.rounding_bound
+        else:
+            lower = np.tril_indices(A.d)
+            assert res.value[lower].tobytes() == ref[lower].tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["dense-real", "dense-complex", "band-complex"])
@@ -1022,6 +1028,120 @@ class TestFullModeSum:
         ref = _pair_sum_reference(A, 16, solver)
         assert res.value.dtype == ref.dtype
         assert res.value.tobytes() == ref.tobytes()
+
+
+def _wild_tridiagonal(seed: int, d: int, scale: float) -> np.ndarray:
+    """Real symmetric tridiagonal with standard normal entries times scale."""
+    rng = np.random.default_rng(seed)
+    off = scale * rng.standard_normal(d - 1)
+    return np.diag(scale * rng.standard_normal(d)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _kernel_inputs(A: HermitianMatrix, n: int, c: float):
+    """(diag, off, poles, weights) of the full-mode kernel call for A at order n and shift c."""
+    table = default_table(n)
+    a = A.entries
+    poles = table.thetas_f8()[::2] - c
+    return a.diagonal().copy(), a.diagonal(-1).copy(), poles, 2.0 * table.coeffs_f8()[::2]
+
+
+_KERNEL_DIMS = st.sampled_from([1, 2, 31, 32, 33, 70])
+_KERNEL_SCALES = st.sampled_from([1.0, 10.0, 1e3, 1e6])
+_KERNEL_ORDERS = st.sampled_from([2, 8, 16, 32])
+
+
+class TestTridiagonalKernel:
+    """linalg._tridiagonal_pair_sum: real tridiagonal full mode without an LU."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=_KERNEL_DIMS,
+        scale=_KERNEL_SCALES,
+        c=st.sampled_from([0.0, 0.5]),
+        n=_KERNEL_ORDERS,
+    )
+    def test_matches_the_solves_within_the_rounding_bound(self, seed, d, scale, c, n):
+        A = HermitianMatrix(scale * _banded(seed, d, 1, False, False))
+        kernel = linalg._tridiagonal_pair_sum(*_kernel_inputs(A, n, c))
+        assert kernel is not None
+        S, times = kernel
+        assert len(times) == n // 2
+        assert np.all(np.isfinite(S)) and np.array_equal(S, S.T)
+        solver = linalg._BandLU if A._band is not None else linalg._DenseLU
+        ref = _pair_sum_reference(A, n, solver, c)
+        g = gershgorin_bounds(A)
+        bounds = SpectralBounds(g.lo - c, g.hi - c)
+        bound = engine._rounding_bound(default_table(n), bounds, c, d, math.sqrt(d))
+        assert np.linalg.norm(S - ref, 2) <= bound
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=_KERNEL_DIMS,
+        scale=_KERNEL_SCALES,
+        wild=st.booleans(),
+        n=_KERNEL_ORDERS,
+    )
+    def test_every_accepted_pole_meets_the_solve_hypothesis(self, seed, d, scale, wild, n):
+        """Y_k, read back from the weights 1 and i, leaves a residual within
+        g sqrt(2) gamma_{3d+6} ||M|| ||Y_k|| whenever the kernel accepts the pole."""
+        entries = _wild_tridiagonal(seed, d, scale) if wild else scale * _banded(seed, d, 1, False, False)
+        A = HermitianMatrix(entries)
+        diag, off, poles, _ = _kernel_inputs(A, n, 0.0)
+        gamma = engine._gamma(3 * d + 6)
+        accepted = 0
+        for p in poles:
+            re = linalg._tridiagonal_pair_sum(diag, off, np.array([p]), np.array([1.0 + 0j]))
+            im = linalg._tridiagonal_pair_sum(diag, off, np.array([p]), np.array([1j]))
+            assert (re is None) == (im is None)
+            if re is None:
+                continue
+            accepted += 1
+            Y = re[0] - 1j * im[0]  # Re(i Y) = -Im Y
+            M = entries + p * np.eye(d)
+            resid = np.linalg.norm(M @ Y - np.eye(d), 2)
+            norm_m = np.linalg.norm(M, 2)
+            allowed = SOLVE_GROWTH * math.sqrt(2.0) * gamma * norm_m * np.linalg.norm(Y, 2)
+            assert resid <= allowed
+        assert wild or accepted == len(poles)
+
+    def test_declines_grown_pivots_and_the_call_runs_the_band_lu(self):
+        """A random indefinite tridiagonal shifted to an exact spectral top of
+        0: some pole's pivots grow, the kernel declines, and the value is
+        the band solves' mirrored lower triangle, bit for bit."""
+        entries = _wild_tridiagonal(0, 40, 1e4)
+        lam = np.linalg.eigvalsh(entries)
+        entries -= lam[-1] * np.eye(40)
+        A = HermitianMatrix(entries, bounds=SpectralBounds(lam[0] - lam[-1], 0.0, exact=True))
+        assert linalg._tridiagonal(A, default_table(16).thetas_f8()[::2]) is not None
+        assert linalg._tridiagonal_pair_sum(*_kernel_inputs(A, 16, 0.0)) is None
+        res = matexp_full(A, ExpOptions(n=16))
+        assert res.bandwidth == (1, 1) and len(res.per_term_times) == 8
+        ref = _pair_sum_reference(A, 16, linalg._BandLU)
+        lower = np.tril_indices(40)
+        assert res.value[lower].tobytes() == ref[lower].tobytes()
+        assert np.array_equal(res.value, res.value.T)
+
+    def test_admits_only_exactly_symmetric_real_tridiagonals(self):
+        poles = default_table(16).thetas_f8()[::2]
+        assert linalg._tridiagonal(lap1d(40), poles) is not None
+        assert linalg._tridiagonal(HermitianMatrix(-np.eye(40)), poles) is not None
+        assert linalg._tridiagonal(lap2d(6), poles) is None
+        skew = lap1d(40).entries.astype(complex)
+        skew[0, 1], skew[1, 0] = 1.0 + 0.1j, 1.0 - 0.1j
+        assert linalg._tridiagonal(HermitianMatrix(skew), poles) is None
+        inexact = lap1d(40).entries.copy()
+        inexact[1, 0] += 1e-14  # inside the Hermitian check's tolerance
+        assert linalg._tridiagonal(HermitianMatrix(inexact), poles) is None
+        # (rho + |p|)^2 / |Im p| past PIVOT_MAX: the pivots could overflow
+        assert linalg._tridiagonal(HermitianMatrix(1e150 * lap1d(40).entries), poles) is None
+
+    def test_pair_times_are_the_recurrences_inside_the_total(self):
+        res = matexp_full(lap1d(300), ExpOptions(n=16))
+        assert len(res.per_term_times) == 8
+        assert sum(res.per_term_times) < res.t_total
+        assert res.t_para == max(res.per_term_times)
 
 
 def _full_mode_peak(A, opts):

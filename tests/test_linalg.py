@@ -1,6 +1,7 @@
 """Shifted solves, eigen-oracle, spectral bounds: contracts and residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.linalg.lapack import zgbtrf
 from pfexpm import engine as E
 from pfexpm import linalg as L
 from pfexpm import roots as R
-from pfexpm.errors import BadSpec, InvariantViolation, SingularSystem
+from pfexpm.errors import BadSpec, InvariantViolation, Overflow, SingularSystem
 
 
 def lap1d(d):
@@ -460,3 +461,22 @@ class TestNormsAndGershgorin:
         w, _ = L.eig_hermitian(A)
         b = L.gershgorin_bounds(A)
         assert b.lo <= w[0] and w[-1] <= b.hi
+
+    def test_gershgorin_overflow_fails_at_construction(self):
+        """Past the binary64 limit the interval is not finite: a typed error
+        and no numpy warning; just inside it, every entry point evaluates."""
+        lap = lap1d(50).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="Gershgorin"):
+                L.HermitianMatrix(4.5e307 * lap)
+            A = L.HermitianMatrix(4e307 * lap)
+            b = L.gershgorin_bounds(A)
+            assert math.isfinite(b.lo) and b.hi == 0.0
+            v = np.ones(50)
+            for shift in (None, "auto"):
+                full = E.matexp_full(A, E.ExpOptions(n=16, shift=shift))
+                action = E.matexp_action(A, v, E.ExpOptions(n=16, mode="action", shift=shift))
+                for res in (full, action):
+                    assert np.all(np.isfinite(res.value))
+                    assert res.error_bound is not None and res.rounding_bound is not None

@@ -245,6 +245,14 @@ class TestApproxError:
         for x, v in zip(xs, arr):
             assert v == S.approx_error(8, float(x))
 
+    @pytest.mark.parametrize("n", [2, 8, 16, 32, 64])
+    def test_float_path_within_one_ulp_of_the_array_path(self, n):
+        xs = np.linspace(-200.0, 0.0, 801)
+        arr = S.approx_error(n, xs)
+        floats = np.array([S.approx_error(n, float(x)) for x in xs])
+        assert all(type(S.approx_error(n, float(x))) is float for x in xs[::100])
+        assert np.all(np.abs(floats - arr) <= np.spacing(np.abs(arr)))
+
     def test_zero_at_origin_and_domain_guard(self):
         assert S.approx_error(8, 0.0) == 0.0
         with pytest.raises(ValueError):
